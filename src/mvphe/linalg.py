@@ -1,9 +1,9 @@
 """Exact linear algebra over F_q: RREF, rank, null spaces, constrained solves.
 
-Elimination is plain Gaussian reduction with the pivot chosen as the first
-row holding a nonzero entry — the field is exact, so there is no stability
-reason to pivot by magnitude, and a fixed pivot rule keeps keys reproducible
-from a seed.
+Elimination is Gaussian reduction by one rank-1 update per pivot, the pivot
+being the first row holding a nonzero entry — the field is exact, so there is
+no stability reason to pivot by magnitude, and the reduced form is unique
+whichever rows are chosen.
 """
 
 from __future__ import annotations
@@ -22,18 +22,22 @@ def dot_mod(a: np.ndarray, b: np.ndarray, q: int) -> int:
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """A @ B mod q, accumulating in blocks small enough to avoid overflow."""
-    A = A.astype(np.int64) % q
-    B = B.astype(np.int64) % q
+    """A @ B mod q, exact in int64, for entries of magnitude below q < 2^31.
+
+    Operands are not reduced here. Unless k·(q−1)² fits in int64, B is split
+    into 16-bit limbs and k into chunks of 2^15: partial sums stay below 2^62.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
     k = A.shape[-1]
-    # each product is < q^2 < 2^62; a block of `step` such terms stays in int64
-    step = max(1, (2**62) // (q * q))
-    if k <= step:
+    if k * (q - 1) ** 2 < 2**63:
         return A @ B % q
-    out = None
+    hi, lo = B >> 16, B & 0xFFFF  # B = 2^16·hi + lo, exact for negative entries too
+    step = 1 << 15
+    out = 0
     for j in range(0, k, step):
-        part = A[..., j : j + step] @ B[j : j + step] % q
-        out = part if out is None else (out + part) % q
+        a = A[..., j : j + step]
+        out = (out + a @ hi[j : j + step] % q * 65536 + a @ lo[j : j + step]) % q
     return out
 
 
@@ -86,24 +90,20 @@ def rref(M: MatrixFq) -> Tuple[MatrixFq, int, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if A[i, c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            A[[r, sel]] = A[[sel, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
-        nz = np.nonzero(A[:, c])[0]
-        for i in nz:
-            if i != r:
-                A[i] = (A[i] - A[i, c] * A[r]) % q
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:  # bring the first nonzero row up to row r
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        # rows r.. are zero left of column c, so only columns c.. change
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, q) % q
+        col = A[:, c].copy()
+        col[r] = 0
+        A[:, c:] = (A[:, c:] - col[:, None] * A[r, c:]) % q
+        pivots.append(c)
+        r += 1
     return MatrixFq(A, M.ctx), len(pivots), pivots
 
 

@@ -15,6 +15,7 @@ from mvphe import (
 )
 
 Q = 10007
+Q31 = 2**31 - 1
 CTX = FieldContext(Q)
 
 
@@ -152,3 +153,93 @@ def test_matmul_mod_blocked_matches_direct():
         dtype=np.int64,
     )
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("q", [3, Q, Q31])
+@pytest.mark.parametrize("k", [1, 2, 3, 2**15 + 3])
+def test_matmul_mod_exact_against_python_ints(q, k):
+    # at q = 2^31 - 1, k = 2 is the longest single product (k·(q-1)^2 < 2^63),
+    # k = 3 the shortest limb-split one, and 2^15 + 3 spans two chunks
+    rng = np.random.default_rng([q, k])
+    edge = np.array([-(q - 1), -1, 0, 1, q - 1])
+    A = rng.integers(-(q - 1), q, size=(2, 4, k))  # a leading batch dimension
+    A[0, 0] = q - 1
+    A[0, 1] = -(q - 1)
+    A[1, 0] = rng.choice(edge, size=k)
+    A[1, 1] = rng.integers(-(q // 2), q // 2 + 1, size=k)  # balanced residues
+    B = np.stack([
+        np.full(k, q - 1),
+        np.full(k, -(q - 1)),
+        rng.integers(-(q - 1), q, size=k),
+        rng.choice(edge, size=k),
+        rng.integers(0, q, size=k),
+    ], axis=1)
+    expect = (A.astype(object) @ B.astype(object)) % q
+    got = matmul_mod(A, B, q)
+    assert got.dtype == np.int64 and got.shape == (2, 4, 5)
+    assert np.array_equal(got, expect.astype(np.int64))
+    for j in range(B.shape[1]):  # a 1-D right operand
+        assert np.array_equal(matmul_mod(A, B[:, j], q), expect[..., j].astype(np.int64))
+
+
+def test_matmul_mod_long_extreme_sums():
+    # every term at its largest magnitude over several chunks; (q-1)^2 = 1
+    # mod q, so the exact result is +-k
+    k = 2**17 + 1
+    for sign in (1, -1):
+        A = np.full((1, k), sign * (Q31 - 1))
+        B = np.full(k, Q31 - 1)
+        assert matmul_mod(A, B, Q31)[0] == sign * k % Q31
+
+
+def _rref_rowwise(M):
+    """Row-by-row elimination, first nonzero row as pivot: the reference for rref."""
+    q = M.ctx.q
+    A = M.data.copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        sel = None
+        for i in range(r, rows):
+            if A[i, c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != r:
+            A[[r, sel]] = A[[sel, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
+        nz = np.nonzero(A[:, c])[0]
+        for i in nz:
+            if i != r:
+                A[i] = (A[i] - A[i, c] * A[r]) % q
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, len(pivots), pivots
+
+
+@pytest.mark.parametrize("q", [Q, Q31])
+def test_rref_matches_rowwise_reference(q):
+    # the reduced echelon form is unique, so R, rank and pivots match exactly
+    ctx = FieldContext(q)
+    rng = np.random.default_rng([q, 8])
+
+    def rand(rows, cols):
+        return rng.integers(0, q, size=(rows, cols))
+
+    deficient = matmul_mod(rand(9, 3), rand(3, 12), q)  # rank 3
+    zero_cols = rand(7, 10)
+    zero_cols[:, [0, 4, 9]] = 0
+    late_pivot = rand(6, 8)
+    late_pivot[:4, :3] = 0  # pivots found below the current row: swaps
+    stacked = np.vstack([rand(4, 6)] * 3)  # repeated rows
+    for data in (rand(12, 5), rand(5, 14), rand(73, 210), deficient, zero_cols,
+                 late_pivot, stacked, np.zeros((3, 4), dtype=np.int64)):
+        M = MatrixFq(data, ctx)
+        R, rk, piv = rref(M)
+        R_ref, rk_ref, piv_ref = _rref_rowwise(M)
+        assert np.array_equal(R.data, R_ref)
+        assert rk == rk_ref and piv == piv_ref

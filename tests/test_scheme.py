@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,30 @@ def test_keygen_mult_mode_needs_n_above_d2r():
                           epsilon="0.01", mode=MODE_MULT, ideal=toy_ideal())
     with pytest.raises(KeyGenError):
         keygen(params, RandomStream(0))
+
+
+def _q31_mult_params():
+    """The toy mult preset lifted to q = 2^31 - 1."""
+    q = 2**31 - 1
+    return SchemeParams(lam=32, q=q, ell=2, r=2, n=15, alpha="0.0008", epsilon="0.01",
+                        mode=MODE_MULT, ideal=toy_ideal(q), headroom=2)
+
+
+@pytest.mark.parametrize(
+    "make_params, digest",
+    [
+        (toy_mult_params, "3aa6d5735513b1f44775f26b66a13cde9a3d74685aec3eae10caab647aaec33d"),
+        (_q31_mult_params, "f7a4466a15c75067d04efb8cb7485336013e0388d35de6c0868a1ce1221b6f78"),
+    ],
+)
+def test_keygen_golden_key_bytes(tmp_path, make_params, digest):
+    # keygen draws only integers, so its key file is platform-stable; at
+    # q = 2^31 - 1 its long products go through the limb-split matmul_mod
+    from mvphe.files import save_key
+
+    path = tmp_path / "key.json"
+    save_key(path, keygen(make_params(), RandomStream(42)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_additive_key_invariants(toy_key):
