@@ -2,7 +2,6 @@
 evaluation over a prime field, plus a game-based security harness."""
 
 from .errors import (
-    ContextMismatchError,
     DepthError,
     FileFormatError,
     KeyGenError,
@@ -10,7 +9,7 @@ from .errors import (
     ProtocolViolationError,
     UnsupportedOperationError,
 )
-from .field import FieldContext, FieldElement, round_nearest
+from .field import FieldContext, round_nearest
 from .linalg import (
     MatrixFq,
     dot_mod,
@@ -36,9 +35,7 @@ from .mvpoly import (
 from .sampling import (
     NoiseSpec,
     RandomStream,
-    sample_discrete_gaussian,
     sample_noise_vector,
-    sample_uniform_fq,
 )
 from .scheme import (
     MODE_ADDITIVE,

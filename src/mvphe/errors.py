@@ -1,10 +1,6 @@
 """Exception types shared across the library."""
 
 
-class ContextMismatchError(ValueError):
-    """Two field values from different moduli were combined."""
-
-
 class KeyGenError(RuntimeError):
     """Key generation failed; ``reason`` names the violated condition."""
 

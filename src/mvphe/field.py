@@ -1,9 +1,9 @@
 """Exact arithmetic in the prime field F_q.
 
-Scalars are plain Python ints (or :class:`FieldElement` wrappers); vectors and
-matrices are ``int64`` numpy arrays holding canonical residues in ``[0, q)``.
-The balanced representative in ``(-q/2, q/2]`` is a *view* used for magnitude
-tests, never the stored form.
+Scalars are plain Python ints; vectors and matrices are ``int64`` numpy
+arrays holding canonical residues in ``[0, q)``. The balanced representative
+in ``(-q/2, q/2]`` is a *view* used for magnitude tests, never the stored
+form.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ContextMismatchError
 
 _MR_WITNESSES = (2, 7, 61)  # deterministic for n < 3,215,031,751 > 2^31
 
@@ -44,7 +42,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """The prime modulus q, 2 <= q < 2^31, with arithmetic helpers.
+    """The prime modulus q, 2 <= q < 2^31, with inverse and balanced views.
 
     q is capped below 2^31 so every elementwise product fits a 64-bit
     intermediate.
@@ -57,24 +55,6 @@ class FieldContext:
             raise ValueError(f"q must be an integer in [2, 2^31), got {self.q}")
         if not _is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
-
-    def reduce(self, x):
-        """Canonicalize an int or array into [0, q)."""
-        if isinstance(x, np.ndarray):
-            return x.astype(np.int64) % self.q
-        return int(x) % self.q
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
 
     def inv(self, a: int) -> int:
         a = int(a) % self.q
@@ -89,67 +69,6 @@ class FieldContext:
             return np.where(x > self.q // 2, x - self.q, x)
         x = int(x) % self.q
         return x - self.q if x > self.q // 2 else x
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def ones(self, n: int) -> np.ndarray:
-        return np.ones(n, dtype=np.int64)
-
-
-class FieldElement:
-    """A residue mod q with value semantics; stored canonical in [0, q)."""
-
-    __slots__ = ("value", "ctx")
-
-    def __init__(self, value: int, ctx: FieldContext):
-        self.value = int(value) % ctx.q
-        self.ctx = ctx
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.ctx.q != self.ctx.q:
-            raise ContextMismatchError(
-                f"mixed moduli q={self.ctx.q} and q={other.ctx.q}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.ctx)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.ctx)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.ctx)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.ctx)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.ctx.inv(self.value), self.ctx)
-
-    def balanced(self) -> int:
-        return self.ctx.balanced(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.ctx.q == other.ctx.q
-        if isinstance(other, int):
-            return self.value == other % self.ctx.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.ctx.q))
-
-    def __repr__(self):
-        return f"F{self.ctx.q}({self.value})"
 
 
 def round_nearest(numerator: int, denominator: int) -> int:

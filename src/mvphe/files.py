@@ -1,9 +1,13 @@
 """Bit-exact JSON artifacts: parameter, key, ciphertext and eval-key files.
 
+This module owns the artifact format: it encodes, decodes and validates every
+file, and a malformed file raises :class:`FileFormatError` naming the field.
 All files are canonical JSON (sorted keys, no whitespace) so identical inputs
 produce byte-identical outputs. ``alpha`` and ``epsilon`` travel as decimal
-strings; every array entry is an integer in [0, q). A params hash binds keys
-and ciphertexts to the parameter set they were made under.
+strings; every integer is a JSON integer (never a boolean, float or string),
+every array is nonempty and rectangular, and every array entry lies in
+[0, q) for a prime q < 2^31. A params hash binds keys and ciphertexts to the
+parameter set they were made under.
 """
 
 from __future__ import annotations
@@ -13,21 +17,20 @@ import json
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FileFormatError
 from .field import FieldContext
-from .mvpoly import IdealSpec, MonomialIndex, Polynomial
-from .scheme import (
-    Ciphertext,
-    EvalKey,
-    SchemeParams,
-    SecretKey,
-    ciphertext_from_structural,
-    ciphertext_to_structural,
-    evalkey_from_structural,
-    evalkey_to_structural,
-    key_from_structural,
-    key_to_structural,
+from .linalg import MatrixFq
+from .mvpoly import (
+    MONOMIAL_ORDER,
+    IdealSpec,
+    MonomialIndex,
+    Polynomial,
+    evaluation_matrix,
+    ideal_truncated_basis,
 )
+from .scheme import MODE_MULT, Ciphertext, EvalKey, SchemeParams, SecretKey
 
 FILE_VERSION = 1
 
@@ -48,11 +51,46 @@ def _require(d: dict, field: str, kind, optional=False):
             return None
         raise FileFormatError(field, "missing")
     v = d[field]
-    if kind is int and isinstance(v, bool):
-        raise FileFormatError(field, "expected an integer")
-    if not isinstance(v, kind):
-        raise FileFormatError(field, f"expected {getattr(kind, '__name__', kind)}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
+        raise FileFormatError(field, "expected " + " or ".join(k.__name__ for k in kinds))
     return v
+
+
+def _require_int(d: dict, field: str, lo: int, hi=None) -> int:
+    """``d[field]`` as a JSON integer in [lo, hi), or at least lo without hi."""
+    v = _require(d, field, int)
+    if v < lo or (hi is not None and v >= hi):
+        bound = f"in [{lo}, {hi})" if hi is not None else f">= {lo}"
+        raise FileFormatError(field, f"expected an integer {bound}")
+    return v
+
+
+def _require_field(d: dict) -> FieldContext:
+    """``d["q"]`` as a field: a prime below 2^31."""
+    q = _require(d, "q", int)
+    try:
+        return FieldContext(q)
+    except ValueError as exc:
+        raise FileFormatError("q", str(exc))
+
+
+def _require_array(d: dict, field: str, q: int, shape: tuple) -> np.ndarray:
+    """``d[field]`` as an int64 array of ``shape``; None there means any length.
+
+    The value must be a nonempty rectangular list (of lists, for two
+    dimensions) whose entries are JSON integers in [0, q).
+    """
+    v = _require(d, field, list)
+    rows = v if len(shape) == 2 else [v]
+    if not v or not all(isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows):
+        raise FileFormatError(field, f"expected a nonempty rectangular {len(shape)}-d array")
+    got = (len(v), len(rows[0]))[: len(shape)]
+    if any(want not in (None, have) for want, have in zip(shape, got)):
+        raise FileFormatError(field, f"expected shape {shape}, got {got}")
+    if not all(type(x) is int and 0 <= x < q for row in rows for x in row):
+        raise FileFormatError(field, "entries must be integers in [0, q)")
+    return np.array(v, dtype=np.int64)
 
 
 def params_to_dict(params: SchemeParams, seed=None) -> dict:
@@ -66,7 +104,8 @@ def params_from_dict(d: dict) -> SchemeParams:
     if not isinstance(d, dict):
         raise FileFormatError("params", "expected a JSON object")
     lam = _require(d, "lambda", int)
-    q = _require(d, "q", int)
+    ctx = _require_field(d)
+    q = ctx.q
     ell = _require(d, "ell", int)
     r = _require(d, "r", int)
     n = _require(d, "n", int)
@@ -75,19 +114,13 @@ def params_from_dict(d: dict) -> SchemeParams:
     mode = _require(d, "mode", str)
     headroom = _require(d, "headroom", (int, float))
     ideal_raw = _require(d, "ideal", list)
-    literal = d.get("literal_mult_noise", False)
-    if not isinstance(literal, bool):
-        raise FileFormatError("literal_mult_noise", "expected a boolean")
+    literal = _require(d, "literal_mult_noise", bool, optional=True) or False
     for name, value in (("alpha", alpha), ("epsilon", epsilon)):
         try:
             Decimal(value)
         except InvalidOperation:
             raise FileFormatError(name, f"not a decimal string: {value!r}")
 
-    try:
-        ctx = FieldContext(q)
-    except ValueError as exc:
-        raise FileFormatError("q", str(exc))
     if ell < 1 or r < 1:
         raise FileFormatError("ell" if ell < 1 else "r", "must be >= 1")
     index = MonomialIndex(ell, r)
@@ -100,12 +133,12 @@ def params_from_dict(d: dict) -> SchemeParams:
             if not isinstance(term, dict) or set(term) != {"coeff", "exps"}:
                 raise FileFormatError("ideal", f"generator {gi}: terms need coeff and exps")
             coeff, exps = term["coeff"], term["exps"]
-            if not isinstance(coeff, int) or not (0 <= coeff < q):
+            if type(coeff) is not int or not (0 <= coeff < q):
                 raise FileFormatError("ideal", f"generator {gi}: coeff must be in [0, q)")
             if (
                 not isinstance(exps, list)
                 or len(exps) != ell
-                or any(not isinstance(e, int) or e < 0 for e in exps)
+                or any(type(e) is not int or e < 0 for e in exps)
             ):
                 raise FileFormatError("ideal", f"generator {gi}: exps must be {ell} nonnegative ints")
             if sum(exps) > r:
@@ -129,10 +162,7 @@ def save_params(path, params: SchemeParams, seed=None):
 def load_params(path) -> tuple:
     """Returns (SchemeParams, seed-or-None)."""
     d = _read_json(path)
-    seed = d.pop("seed", None)
-    if seed is not None and not isinstance(seed, int):
-        raise FileFormatError("seed", "expected an integer")
-    return params_from_dict(d), seed
+    return params_from_dict(d), _require(d, "seed", int, optional=True)
 
 
 def _read_json(path) -> dict:
@@ -155,8 +185,15 @@ def save_key(path, sk: SecretKey):
         "version": FILE_VERSION,
         "params": params_to_dict(sk.params),
         "params_hash": params_hash(sk.params),
+        "monomial_order": MONOMIAL_ORDER,
+        "points": sk.points.tolist(),
+        "s": sk.s.tolist(),
+        "p": sk.p,
+        "sigma_s": sk.sigma_s,
+        "B_r": sk.B_r.data.tolist(),
     }
-    d.update(key_to_structural(sk))
+    if sk.B_2r is not None:
+        d["B_2r"] = sk.B_2r.data.tolist()
     Path(path).write_text(canonical_json(d))
 
 
@@ -166,14 +203,46 @@ def load_key(path) -> SecretKey:
     params = params_from_dict(_require(d, "params", dict))
     if d.get("params_hash") != params_hash(params):
         raise FileFormatError("params_hash", "does not match the embedded parameters")
-    if d.get("monomial_order") != "grlex":
+    if d.get("monomial_order") != MONOMIAL_ORDER:
         raise FileFormatError("monomial_order", "unsupported monomial order")
-    return key_from_structural(params, d)
+    ctx = params.ctx()
+    q, n = params.q, params.n
+    points = _require_array(d, "points", q, (n, params.ell))
+    s = _require_array(d, "s", q, (n,))
+    p = _require_int(d, "p", 1, q)
+    sigma = _require_int(d, "sigma_s", 1, q // 2 + 1)
+    B_r = _require_basis(d, "B_r", params, params.r)
+    B_2r = _require_basis(d, "B_2r", params, 2 * params.r) if params.mode == MODE_MULT else None
+    sk = SecretKey(
+        params=params,
+        points=points,
+        G=evaluation_matrix(MonomialIndex(params.ell, params.enc_degree()), ctx, points),
+        B_r=B_r,
+        B_2r=B_2r,
+        d_r=B_r.rows,
+        d_2r=None if B_2r is None else B_2r.rows,
+        s=s,
+        p=p,
+        sigma_s=sigma,
+    )
+    if ctx.balanced(int(s.sum() % q)) != sigma:
+        raise FileFormatError("sigma_s", "does not equal the balanced sum of s")
+    if np.any(sk.evaluated_basis().matvec(s) != 0):
+        raise FileFormatError("s", "not orthogonal to the evaluated ideal basis")
+    return sk
+
+
+def _require_basis(d: dict, field: str, params: SchemeParams, degree: int) -> MatrixFq:
+    """The ideal's degree-truncated basis, which ``d[field]`` must repeat."""
+    B = ideal_truncated_basis(params.ideal, degree)
+    if not np.array_equal(_require_array(d, field, params.q, B.data.shape), B.data):
+        raise FileFormatError(field, "does not match the parameter ideal")
+    return B
 
 
 def save_ciphertext(path, ct: Ciphertext, phash: str):
-    d = {"version": FILE_VERSION, "params_hash": phash}
-    d.update(ciphertext_to_structural(ct))
+    d = {"version": FILE_VERSION, "params_hash": phash,
+         "c": ct.c.tolist(), "adds": ct.adds, "mults": ct.mults, "q": ct.q}
     Path(path).write_text(canonical_json(d))
 
 
@@ -182,12 +251,15 @@ def load_ciphertext(path) -> tuple:
     d = _read_json(path)
     _check_version(d)
     phash = _require(d, "params_hash", str)
-    return ciphertext_from_structural(d), phash
+    q = _require_field(d).q
+    c = _require_array(d, "c", q, (None,))
+    ct = Ciphertext(c, q, adds=_require_int(d, "adds", 0), mults=_require_int(d, "mults", 0))
+    return ct, phash
 
 
 def save_evalkey(path, ek: EvalKey, phash: str):
-    d = {"version": FILE_VERSION, "params_hash": phash}
-    d.update(evalkey_to_structural(ek))
+    d = {"version": FILE_VERSION, "params_hash": phash,
+         "q": ek.q, "n": ek.n, "p_inverse": ek.p_inverse}
     Path(path).write_text(canonical_json(d))
 
 
@@ -196,4 +268,6 @@ def load_evalkey(path) -> tuple:
     d = _read_json(path)
     _check_version(d)
     phash = _require(d, "params_hash", str)
-    return evalkey_from_structural(d), phash
+    q = _require_field(d).q
+    ek = EvalKey(q=q, n=_require_int(d, "n", 1), p_inverse=_require_int(d, "p_inverse", 1, q))
+    return ek, phash

@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext
 from .linalg import MatrixFq, dot_mod, rref
 
 MONOMIAL_ORDER = "grlex"
@@ -172,10 +172,9 @@ def eval_monomials(index: MonomialIndex, ctx: FieldContext, z: Sequence[int]) ->
     return evaluation_matrix(index, ctx, z.reshape(1, -1))[0]
 
 
-def poly_eval(f: Polynomial, z: Sequence[int]) -> FieldElement:
-    """f(z) as the inner product of coefficients with the monomial row."""
-    row = eval_monomials(f.index, f.ctx, z)
-    return f.ctx.element(dot_mod(f.coeffs, row, f.ctx.q))
+def poly_eval(f: Polynomial, z: Sequence[int]) -> int:
+    """f(z) in [0, q): the inner product of coefficients with the monomial row."""
+    return dot_mod(f.coeffs, eval_monomials(f.index, f.ctx, z), f.ctx.q)
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:

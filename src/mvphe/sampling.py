@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldContext, FieldElement
-
 _TWO_PI = 2.0 * np.pi
 
 
@@ -101,20 +99,10 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
-def sample_uniform_fq(stream: RandomStream, ctx: FieldContext) -> FieldElement:
-    """One uniform element of F_q."""
-    return ctx.element(stream.uniform_fq(ctx.q))
-
-
 def discrete_gaussian_vector(stream: RandomStream, spec: NoiseSpec, size: int) -> np.ndarray:
     """i.i.d. draws of round(x * q) mod q with x ~ N(0, alpha^2)."""
     raw = stream.gaussian(spec.std, size=size)
     return _round_half_up(np.asarray(raw)) % spec.q
-
-
-def sample_discrete_gaussian(stream: RandomStream, spec: NoiseSpec) -> FieldElement:
-    ctx = FieldContext(spec.q)
-    return ctx.element(int(discrete_gaussian_vector(stream, spec, 1)[0]))
 
 
 def sample_noise_vector(stream: RandomStream, spec: NoiseSpec, n: int) -> np.ndarray:

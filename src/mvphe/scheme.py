@@ -518,130 +518,3 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
             "error_rate": mult_err / trials,
         }
     return rows
-
-
-# ---------------------------------------------------------------------------
-# structural (byte-free) encode/decode; file framing lives in files.py
-
-def key_to_structural(sk: SecretKey) -> dict:
-    d = {
-        "points": sk.points.tolist(),
-        "s": sk.s.tolist(),
-        "p": sk.p,
-        "sigma_s": sk.sigma_s,
-        "B_r": sk.B_r.data.tolist(),
-        "monomial_order": "grlex",
-    }
-    if sk.B_2r is not None:
-        d["B_2r"] = sk.B_2r.data.tolist()
-    return d
-
-
-def key_from_structural(params: SchemeParams, d: dict) -> SecretKey:
-    from .errors import FileFormatError
-
-    ctx = params.ctx()
-    q, n = params.q, params.n
-
-    def _int_matrix(name, expect_cols=None):
-        rows = d.get(name)
-        if not isinstance(rows, list) or not rows:
-            raise FileFormatError(name, "expected a nonempty list of rows")
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.ndim != 2:
-            raise FileFormatError(name, "expected a rectangular matrix")
-        if np.any(arr < 0) or np.any(arr >= q):
-            raise FileFormatError(name, "entries must lie in [0, q)")
-        if expect_cols is not None and arr.shape[1] != expect_cols:
-            raise FileFormatError(name, f"expected {expect_cols} columns")
-        return arr
-
-    points = _int_matrix("points", expect_cols=params.ell)
-    if points.shape[0] != n:
-        raise FileFormatError("points", f"expected {n} points")
-    s_raw = d.get("s")
-    if not isinstance(s_raw, list) or len(s_raw) != n:
-        raise FileFormatError("s", f"expected {n} integers")
-    s = np.asarray(s_raw, dtype=np.int64)
-    if np.any(s < 0) or np.any(s >= q):
-        raise FileFormatError("s", "entries must lie in [0, q)")
-    p = d.get("p")
-    sigma = d.get("sigma_s")
-    if not isinstance(p, int) or not (0 < p < q):
-        raise FileFormatError("p", "expected an integer in (0, q)")
-    if not isinstance(sigma, int) or not (0 < sigma <= q // 2):
-        raise FileFormatError("sigma_s", "expected an integer in (0, q/2]")
-
-    B_r = MatrixFq(_int_matrix("B_r", expect_cols=monomial_count(params.ell, params.r)), ctx)
-    if B_r != ideal_truncated_basis(params.ideal, params.r):
-        raise FileFormatError("B_r", "does not match the parameter ideal")
-    B_2r = None
-    d_2r = None
-    if params.mode == MODE_MULT:
-        B_2r = MatrixFq(
-            _int_matrix("B_2r", expect_cols=monomial_count(params.ell, 2 * params.r)), ctx
-        )
-        if B_2r != ideal_truncated_basis(params.ideal, 2 * params.r):
-            raise FileFormatError("B_2r", "does not match the parameter ideal")
-        d_2r = B_2r.rows
-
-    enc_index = MonomialIndex(params.ell, params.enc_degree())
-    G = evaluation_matrix(enc_index, ctx, points)
-    sk = SecretKey(
-        params=params,
-        points=points,
-        G=G,
-        B_r=B_r,
-        B_2r=B_2r,
-        d_r=B_r.rows,
-        d_2r=d_2r,
-        s=s,
-        p=p,
-        sigma_s=sigma,
-    )
-    if int(ctx.balanced(int(s.sum() % q))) != sigma:
-        raise FileFormatError("sigma_s", "does not equal the balanced sum of s")
-    if np.any(sk.evaluated_basis().matvec(s) != 0):
-        raise FileFormatError("s", "not orthogonal to the evaluated ideal basis")
-    return sk
-
-
-def ciphertext_to_structural(ct: Ciphertext) -> dict:
-    return {"c": ct.c.tolist(), "adds": ct.adds, "mults": ct.mults, "q": ct.q}
-
-
-def ciphertext_from_structural(d: dict) -> Ciphertext:
-    from .errors import FileFormatError
-
-    q = d.get("q")
-    if not isinstance(q, int) or q < 2:
-        raise FileFormatError("q", "expected an integer modulus >= 2")
-    c_raw = d.get("c")
-    if not isinstance(c_raw, list) or not c_raw:
-        raise FileFormatError("c", "expected a nonempty list of integers")
-    c = np.asarray(c_raw, dtype=np.int64)
-    if np.any(c < 0) or np.any(c >= q):
-        raise FileFormatError("c", "entries must lie in [0, q)")
-    adds, mults = d.get("adds"), d.get("mults")
-    if not isinstance(adds, int) or adds < 0:
-        raise FileFormatError("adds", "expected a nonnegative integer")
-    if not isinstance(mults, int) or mults < 0:
-        raise FileFormatError("mults", "expected a nonnegative integer")
-    return Ciphertext(c, q, adds=adds, mults=mults)
-
-
-def evalkey_to_structural(ek: EvalKey) -> dict:
-    return {"q": ek.q, "n": ek.n, "p_inverse": ek.p_inverse}
-
-
-def evalkey_from_structural(d: dict) -> EvalKey:
-    from .errors import FileFormatError
-
-    q, n, p_inv = d.get("q"), d.get("n"), d.get("p_inverse")
-    if not isinstance(q, int) or q < 2:
-        raise FileFormatError("q", "expected an integer modulus >= 2")
-    if not isinstance(n, int) or n < 1:
-        raise FileFormatError("n", "expected a positive integer")
-    if not isinstance(p_inv, int) or not (0 < p_inv < q):
-        raise FileFormatError("p_inverse", "expected an integer in (0, q)")
-    return EvalKey(q=q, n=n, p_inverse=p_inv)

@@ -172,6 +172,17 @@ def test_ciphertext_out_of_range_exit3(tmp_path, toy_paramfile, capsys):
     assert "'c'" in capsys.readouterr().err
 
 
+def test_ragged_key_points_exit3(tmp_path, toy_paramfile, capsys):
+    key = str(tmp_path / "key.json")
+    main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])
+    d = json.loads(open(key).read())
+    d["points"][0] = d["points"][0][:1]
+    open(key, "w").write(json.dumps(d))
+    capsys.readouterr()
+    assert main(["encrypt", "--key", key, "--bit", "1", "--out", str(tmp_path / "ct.json")]) == 3
+    assert "'points'" in capsys.readouterr().err
+
+
 def test_hash_mismatch_exit3(tmp_path, toy_paramfile, mult_paramfile, capsys):
     k1, k2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
     c1 = str(tmp_path / "c1.json")

@@ -1,0 +1,65 @@
+import json
+
+import pytest
+
+from mvphe import FileFormatError, RandomStream, encrypt, eval_key
+from mvphe.files import (
+    load_ciphertext,
+    load_evalkey,
+    load_key,
+    params_hash,
+    save_ciphertext,
+    save_evalkey,
+    save_key,
+)
+
+
+@pytest.fixture()
+def artifacts(tmp_path, toy_key, mult_key):
+    """One valid file of each type: key, ciphertext and eval key."""
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("key", "ct", "ek")}
+    save_key(paths["key"], toy_key)
+    save_ciphertext(paths["ct"], encrypt(toy_key, 1, RandomStream(5)), params_hash(toy_key.params))
+    save_evalkey(paths["ek"], eval_key(mult_key), params_hash(mult_key.params))
+    return paths
+
+
+LOADERS = {"key": load_key, "ct": load_ciphertext, "ek": load_evalkey}
+
+
+def _true(_):
+    return True
+
+
+@pytest.mark.parametrize(
+    "kind, where, change, field",
+    [
+        pytest.param("ct", ("c", 0), lambda v: v + 0.7, "c", id="ct-float-entry"),
+        pytest.param("ct", ("c", 0), str, "c", id="ct-string-entry"),
+        pytest.param("ct", ("c", 0), _true, "c", id="ct-bool-entry"),
+        pytest.param("ct", ("c", 0), lambda v: [v], "c", id="ct-nested-c"),
+        pytest.param("ct", ("c",), lambda v: [], "c", id="ct-empty-c"),
+        pytest.param("ct", ("mults",), _true, "mults", id="ct-bool-mults"),
+        pytest.param("ct", ("q",), lambda v: 10008, "q", id="ct-nonprime-q"),
+        pytest.param("key", ("s", 0), float, "s", id="key-float-entry"),
+        pytest.param("key", ("points", 0, 0), str, "points", id="key-string-entry"),
+        pytest.param("key", ("B_r", 0, 0), float, "B_r", id="key-float-basis-entry"),
+        pytest.param("key", ("p",), _true, "p", id="key-bool-p"),
+        pytest.param("key", ("points", 0), lambda v: v[:1], "points", id="key-ragged-points"),
+        pytest.param("key", ("points",), lambda v: v[:-1], "points", id="key-short-points"),
+        pytest.param("ek", ("p_inverse",), _true, "p_inverse", id="ek-bool-p-inverse"),
+        pytest.param("ek", ("n",), float, "n", id="ek-float-n"),
+        pytest.param("ek", ("q",), lambda v: 10008, "q", id="ek-nonprime-q"),
+    ],
+)
+def test_malformed_artifact_names_field(artifacts, kind, where, change, field):
+    path = artifacts[kind]
+    d = json.loads(path.read_text())
+    target = d
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = change(target[where[-1]])
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError) as exc:
+        LOADERS[kind](path)
+    assert exc.value.field == field

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mvphe import (
-    FieldContext,
-    NoiseSpec,
-    RandomStream,
-    sample_discrete_gaussian,
-    sample_noise_vector,
-    sample_uniform_fq,
-)
+from mvphe import FieldContext, NoiseSpec, RandomStream, sample_noise_vector
+from mvphe.sampling import discrete_gaussian_vector
 
 Q = 10007
 
@@ -17,10 +11,7 @@ Q = 10007
 def test_same_seed_same_draws():
     a = RandomStream(123)
     b = RandomStream(123)
-    ctx = FieldContext(Q)
-    assert [sample_uniform_fq(a, ctx).value for _ in range(10)] == [
-        sample_uniform_fq(b, ctx).value for _ in range(10)
-    ]
+    assert [a.uniform_fq(Q) for _ in range(10)] == [b.uniform_fq(Q) for _ in range(10)]
 
 
 def test_derived_streams_are_stable_and_distinct():
@@ -51,14 +42,10 @@ def test_gaussian_std_and_mean_at_alpha_q8():
     spec = NoiseSpec(alpha=8.0 / Q, q=Q, support_len=1)
     stream = RandomStream(13)
     ctx = FieldContext(Q)
-    draws = np.array(
-        [sample_discrete_gaussian(stream, spec).value for _ in range(1000)]
-    )
+    draws = np.array([discrete_gaussian_vector(stream, spec, 1)[0] for _ in range(1000)])
     balanced = ctx.balanced(draws)
     assert abs(float(np.std(balanced)) - 8.0) <= 0.05 * 8.0 * 3  # loose at 10^3
     # the 10^5-draw 5% bound runs in the acceptance suite; vector path here
-    from mvphe.sampling import discrete_gaussian_vector
-
     big = ctx.balanced(discrete_gaussian_vector(RandomStream(14), spec, 100_000))
     assert abs(float(np.std(big)) - 8.0) <= 0.05 * 8.0
     assert abs(float(np.mean(big))) <= 0.1
@@ -67,15 +54,11 @@ def test_gaussian_std_and_mean_at_alpha_q8():
 def test_gaussian_tiny_alpha_always_zero():
     spec = NoiseSpec(alpha=1e-8, q=Q, support_len=1)  # alpha*q < 1e-3
     stream = RandomStream(15)
-    from mvphe.sampling import discrete_gaussian_vector
-
     assert np.all(discrete_gaussian_vector(stream, spec, 10_000) == 0)
 
 
 def test_gaussian_alpha_zero_exact():
     spec = NoiseSpec(alpha=0.0, q=Q, support_len=1)
-    from mvphe.sampling import discrete_gaussian_vector
-
     assert np.all(discrete_gaussian_vector(RandomStream(16), spec, 1000) == 0)
 
 

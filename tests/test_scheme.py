@@ -109,6 +109,32 @@ def test_keygen_golden_key_bytes(tmp_path, make_params, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_encrypt_golden_ciphertext_bytes(tmp_path):
+    # at alpha = 0 every noise draw is exactly 0, so the file is platform-stable
+    from mvphe.files import load_ciphertext, params_hash, save_ciphertext
+
+    params = toy_additive_params(alpha="0")
+    path, again = tmp_path / "ct.json", tmp_path / "ct2.json"
+    save_ciphertext(path, encrypt(keygen(params, RandomStream(42)), 1, RandomStream(43)),
+                    params_hash(params))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3114ba9ee834f2e3d1875f707eeaca370aa3cb57b08e09f8b3cda8b7ebdfcd26")
+    save_ciphertext(again, *load_ciphertext(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_eval_key_golden_bytes(tmp_path):
+    from mvphe.files import load_evalkey, params_hash, save_evalkey
+
+    params = toy_mult_params()
+    path, again = tmp_path / "ek.json", tmp_path / "ek2.json"
+    save_evalkey(path, eval_key(keygen(params, RandomStream(42))), params_hash(params))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "031025b0fd62a9e567675820b962fd8d56f8a3c1bb355ebd2bc986e944840541")
+    save_evalkey(again, *load_evalkey(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_additive_key_invariants(toy_key):
     sk = toy_key
     q = sk.params.q
