@@ -11,7 +11,6 @@ from .errors import (
 )
 from .field import FieldContext, round_nearest
 from .linalg import (
-    MatrixFq,
     dot_mod,
     in_rowspace,
     matmul_mod,

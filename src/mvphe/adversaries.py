@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldContext
-from .linalg import MatrixFq, dot_mod, in_rowspace, rank, solve_linear
+from .linalg import dot_mod, in_rowspace, solve_linear
 
 
 class RandomGuesser:
@@ -30,11 +29,9 @@ class RankMembershipAdversary:
         self.extra = extra_samples
 
     def run(self, oracles, stream) -> int:
-        ctx = FieldContext(oracles.q)
         span = [oracles.sample() for _ in range(oracles.n + self.extra)]
-        M = MatrixFq(np.array(span, dtype=np.int64), ctx)
         c = oracles.challenge()
-        return 1 if in_rowspace(M, c) else 0
+        return 1 if in_rowspace(np.array(span, dtype=np.int64), c, oracles.q) else 0
 
 
 class KnownSecretAdversary:
@@ -50,9 +47,8 @@ class KnownSecretAdversary:
         threshold = self.threshold
         if threshold is None:
             threshold = leak.threshold if leak.threshold is not None else oracles.q // 4
-        ctx = FieldContext(oracles.q)
-        v = oracles.challenge()
-        return 1 if abs(ctx.balanced(dot_mod(leak.s, v, oracles.q))) <= threshold else 0
+        t = dot_mod(leak.s, oracles.challenge(), oracles.q)
+        return 1 if min(t, oracles.q - t) <= threshold else 0  # |balanced(t)|
 
 
 class LinearSolveAdversary:
@@ -63,14 +59,12 @@ class LinearSolveAdversary:
         self.extra = extra_samples
 
     def run(self, oracles, stream) -> int:
-        ctx = FieldContext(oracles.q)
         rows, rhs = [], []
         for _ in range(oracles.n + self.extra):
             a, b = oracles.sample()
             rows.append(a)
             rhs.append(b)
-        A = MatrixFq(np.array(rows, dtype=np.int64), ctx)
-        s_hat = solve_linear(A, np.array(rhs, dtype=np.int64))
+        s_hat = solve_linear(rows, rhs, oracles.q)
         a, b = oracles.challenge()
         if s_hat is None:
             return stream.coin()
@@ -90,13 +84,13 @@ class IndCpaRankAdversary:
         if oracles.leak is None or oracles.leak.p is None:
             raise ValueError("IndCpaRankAdversary needs the leaked scale p")
         p = oracles.leak.p
-        ctx = FieldContext(oracles.q)
         span = [oracles.encrypt_zero().c for _ in range(oracles.n + self.extra)]
-        M = MatrixFq(np.array(span, dtype=np.int64), ctx)
+        M = np.array(span, dtype=np.int64)
         c = oracles.left_right(self.m0, self.m1).c
-        if in_rowspace(M, (c - p * self.m0) % oracles.q):
+        member = in_rowspace(M, np.stack([c - p * self.m0, c - p * self.m1]), oracles.q)
+        if member[0]:
             return 0
-        if in_rowspace(M, (c - p * self.m1) % oracles.q):
+        if member[1]:
             return 1
         return stream.coin()
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .linalg import nullspace_basis
-from .mvpoly import monomial_count
+from .mvpoly import ideal_truncated_basis, monomial_count
 from .presets import toy_additive_params
 from .sampling import NoiseSpec, RandomStream
 from .scheme import (
@@ -30,6 +29,7 @@ from .scheme import (
     decrypt,
     encrypt,
     eval_key,
+    feasibility,
     hom_add,
     hom_mult,
     keygen,
@@ -208,7 +208,7 @@ def _cmd_game(args) -> int:
             inst = games.uniform_subspace_instance(args.n, q, args.l, noise, sub.derive(0))
             leak = None
             if isinstance(adv, adversaries.KnownSecretAdversary):
-                s = nullspace_basis(inst.basis).data[0]
+                s = nullspace_basis(inst.basis, q)[0]
                 leak = games.Leak(s=s, threshold=q // 4)
             return games.hsm_game(inst, adv, sub.derive(1), leak=leak)
 
@@ -265,32 +265,18 @@ def _indcpa_adversary(name):
 
 
 def _cmd_check_params(args) -> int:
-    from .mvpoly import ideal_truncated_basis
-
     params, _ = files.load_params(args.params)
-    d_r = ideal_truncated_basis(params.ideal, params.r).rows
-    d_2r = ideal_truncated_basis(params.ideal, 2 * params.r).rows
+    B_r, B_2r, lo, hi = feasibility(params)
+    if B_2r is None:  # additive keys never build it; shown for reference
+        B_2r = ideal_truncated_basis(params.ideal, 2 * params.r)
     N = monomial_count(params.ell, params.r)
     N_enc = monomial_count(params.ell, params.enc_degree())
-    head = d_r if params.mode != MODE_MULT else d_2r
-    if not (head < params.n <= N_enc):
-        raise FileFormatError(
-            "n", f"need dim(ideal slice)={head} < n={params.n} <= {N_enc}"
-        )
-    alpha_q = params.alpha_f * params.q
-    h = float(params.headroom)
-    worst_norm = 1.0 if params.mode != MODE_MULT else math.sqrt(params.n - d_2r)
-    eta = 2.0 * worst_norm * h / math.sqrt(params.epsilon_f)
-    p_min = math.floor(eta * alpha_q) + 1  # assuming sigma_s = 1
-    p_max = math.floor((params.q // 2) / h)
-    if p_min > p_max:
-        raise FileFormatError("alpha", f"no admissible p: p_min={p_min} > p_max={p_max}")
     _print_table(
-        ("N", "d_r", "d_2r", "n", "mode", "p_min", "p_max"),
-        [(N, d_r, d_2r, params.n, params.mode, p_min, p_max)],
+        ("N", "d_r", "d_2r", "n", "mode", "sigma_p_min", "sigma_p_max"),
+        [(N, B_r.rows, B_2r.rows, params.n, params.mode, lo, hi)],
         args.json,
-        {"N": N, "N_enc": N_enc, "d_r": d_r, "d_2r": d_2r, "n": params.n,
-         "mode": params.mode, "p_min": p_min, "p_max": p_max},
+        {"N": N, "N_enc": N_enc, "d_r": B_r.rows, "d_2r": B_2r.rows, "n": params.n,
+         "mode": params.mode, "sigma_p_min": lo, "sigma_p_max": hi},
     )
     return EXIT_OK
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import FileFormatError
 from .field import FieldContext
-from .linalg import MatrixFq
+from .linalg import matmul_mod
 from .mvpoly import (
     MONOMIAL_ORDER,
+    IdealBasis,
     IdealSpec,
     MonomialIndex,
     Polynomial,
@@ -219,20 +220,18 @@ def load_key(path) -> SecretKey:
         G=evaluation_matrix(MonomialIndex(params.ell, params.enc_degree()), ctx, points),
         B_r=B_r,
         B_2r=B_2r,
-        d_r=B_r.rows,
-        d_2r=None if B_2r is None else B_2r.rows,
         s=s,
         p=p,
         sigma_s=sigma,
     )
     if ctx.balanced(int(s.sum() % q)) != sigma:
         raise FileFormatError("sigma_s", "does not equal the balanced sum of s")
-    if np.any(sk.evaluated_basis().matvec(s) != 0):
+    if np.any(matmul_mod(sk.evaluated_basis(), s, q)):
         raise FileFormatError("s", "not orthogonal to the evaluated ideal basis")
     return sk
 
 
-def _require_basis(d: dict, field: str, params: SchemeParams, degree: int) -> MatrixFq:
+def _require_basis(d: dict, field: str, params: SchemeParams, degree: int) -> IdealBasis:
     """The ideal's degree-truncated basis, which ``d[field]`` must repeat."""
     B = ideal_truncated_basis(params.ideal, degree)
     if not np.array_equal(_require_array(d, field, params.q, B.data.shape), B.data):

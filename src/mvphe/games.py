@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ProtocolViolationError
-from .linalg import MatrixFq, dot_mod, matmul_mod, rank
+from .linalg import dot_mod, matmul_mod, rank
 from .sampling import NoiseSpec, RandomStream, sample_noise_vector
 from .scheme import (
     Ciphertext,
@@ -35,21 +35,21 @@ class SubspaceInstance:
 
     n: int
     q: int
-    basis: MatrixFq
+    basis: np.ndarray  # l x n, canonical residues
     noise: NoiseSpec
 
     def __post_init__(self):
-        if self.basis.cols != self.n:
-            raise ValueError("basis width must equal n")
-        l = self.basis.rows
+        if self.basis.ndim != 2 or self.basis.shape[1] != self.n:
+            raise ValueError("basis must be a matrix of width n")
+        l = self.dim
         if not (1 <= l < self.n):
             raise ValueError(f"need 1 <= dim {l} < n {self.n}")
-        if rank(self.basis) != l:
+        if rank(self.basis, self.q) != l:
             raise ValueError("basis rows must be linearly independent")
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return self.basis.shape[0]
 
 
 @dataclass
@@ -109,7 +109,7 @@ class HsmOracles(_OracleBase):
 
     def _noisy_member(self):
         u = self._stream.uniform_fq(self.q, size=self.instance.dim)
-        v = matmul_mod(u.reshape(1, -1), self.instance.basis.data, self.q)[0]
+        v = matmul_mod(u.reshape(1, -1), self.instance.basis, self.q)[0]
         e = sample_noise_vector(self._stream, self.instance.noise, self.n)
         return v, e, (v + e) % self.q
 
@@ -318,12 +318,9 @@ def theorem1_adapter(indcpa_adversary, p: int, leak: Optional[Leak] = None) -> T
 def uniform_subspace_instance(n: int, q: int, l: int, noise: NoiseSpec,
                               stream: RandomStream) -> SubspaceInstance:
     """A uniformly random l-dimensional subspace (synthetic HSM instances)."""
-    from .field import FieldContext
-
-    ctx = FieldContext(q)
     for _ in range(64):
-        M = MatrixFq(stream.uniform_fq(q, size=(l, n)), ctx)
-        if rank(M) == l:
+        M = stream.uniform_fq(q, size=(l, n))
+        if rank(M, q) == l:
             return SubspaceInstance(n=n, q=q, basis=M, noise=noise)
     raise RuntimeError("could not sample an independent basis")
 
@@ -331,12 +328,10 @@ def uniform_subspace_instance(n: int, q: int, l: int, noise: NoiseSpec,
 def lwe_subspace_instance(s: np.ndarray, q: int, noise: NoiseSpec) -> SubspaceInstance:
     """The (s, 1)-orthogonal subspace of F_q^{n+1} with noise on the last
     coordinate only: rows (e_i, -s_i)."""
-    from .field import FieldContext
-
     n = len(s)
     basis = np.hstack([np.eye(n, dtype=np.int64), (-s.reshape(-1, 1)) % q])
     return SubspaceInstance(
-        n=n + 1, q=q, basis=MatrixFq(basis, FieldContext(q)),
+        n=n + 1, q=q, basis=basis,
         noise=NoiseSpec(noise.alpha, q, 1),
     )
 

@@ -1,5 +1,12 @@
 """Exact linear algebra over F_q: RREF, rank, null spaces, constrained solves.
 
+Matrices and vectors are plain int64 numpy arrays and the modulus is a
+separate argument, ``f(array, ..., q)``, as in exact linear-algebra libraries
+such as FFLAS-FFPACK. Arrays hold canonical residues in [0, q); ``rref``
+reduces its working copy mod q, so it also accepts any int64 entries. q is
+checked (a prime below 2^31) once, where it enters the program, through
+:class:`~mvphe.field.FieldContext`; nothing here tests it again.
+
 Elimination is Gaussian reduction by one rank-1 update per pivot, the pivot
 being the first row holding a nonzero entry — the field is exact, so there is
 no stability reason to pivot by magnitude, and the reduced form is unique
@@ -8,12 +15,9 @@ whichever rows are chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-from .field import FieldContext
 
 
 def dot_mod(a: np.ndarray, b: np.ndarray, q: int) -> int:
@@ -41,51 +45,9 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MatrixFq:
-    """A dense matrix over F_q; entries stored canonical in [0, q)."""
-
-    data: np.ndarray
-    ctx: FieldContext
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix must be 2-d, got shape {arr.shape}")
-        self.data = arr % self.ctx.q
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def identity(cls, n: int, ctx: FieldContext) -> "MatrixFq":
-        return cls(np.eye(n, dtype=np.int64), ctx)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, ctx: FieldContext) -> "MatrixFq":
-        return cls(np.zeros((rows, cols), dtype=np.int64), ctx)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return matmul_mod(self.data, np.asarray(v, dtype=np.int64), self.ctx.q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFq)
-            and self.ctx.q == other.ctx.q
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-
-def rref(M: MatrixFq) -> Tuple[MatrixFq, int, List[int]]:
-    """Reduced row echelon form; returns (R, rank, pivot_columns)."""
-    q = M.ctx.q
-    A = M.data.copy()
+def rref(M: np.ndarray, q: int) -> Tuple[np.ndarray, int, List[int]]:
+    """Reduced row echelon form of M mod q; returns (R, rank, pivot_columns)."""
+    A = np.asarray(M, dtype=np.int64) % q
     rows, cols = A.shape
     pivots: List[int] = []
     r = 0
@@ -104,70 +66,67 @@ def rref(M: MatrixFq) -> Tuple[MatrixFq, int, List[int]]:
         A[:, c:] = (A[:, c:] - col[:, None] * A[r, c:]) % q
         pivots.append(c)
         r += 1
-    return MatrixFq(A, M.ctx), len(pivots), pivots
+    return A, len(pivots), pivots
 
 
-def rank(M: MatrixFq) -> int:
-    return rref(M)[1]
+def rank(M: np.ndarray, q: int) -> int:
+    return rref(M, q)[1]
 
 
-def nullspace_basis(M: MatrixFq) -> MatrixFq:
+def nullspace_basis(M: np.ndarray, q: int) -> np.ndarray:
     """Rows span {v : M v = 0}; row count is cols - rank(M)."""
-    q = M.ctx.q
-    R, rk, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    basis = np.zeros((len(free), M.cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R.data[i, fc]) % q
-    return MatrixFq(basis, M.ctx)
+    R, rk, pivots = rref(M, q)
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -R[:rk, free].T % q
+    return basis
 
 
-def in_rowspace(M: MatrixFq, v: np.ndarray) -> bool:
-    """Exact membership of v in the row space of M."""
-    stacked = MatrixFq(
-        np.vstack([M.data, np.asarray(v, dtype=np.int64) % M.ctx.q]), M.ctx
-    )
-    return rank(stacked) == rank(M)
+def in_rowspace(M: np.ndarray, v: np.ndarray, q: int):
+    """Exact membership of v in the row space of M, or of each row of a stack
+    v (one answer per row), from one elimination of M.
+
+    R's rows carry a unit at their pivot and zeros at the other pivots, so v
+    is a member exactly when v equals the combination v[pivots]·R.
+    """
+    R, rk, pivots = rref(M, q)
+    v = np.asarray(v, dtype=np.int64) % q
+    return ~np.any((v - matmul_mod(v[..., pivots], R[:rk], q)) % q, axis=-1)
 
 
-def solve_linear(A: MatrixFq, b: np.ndarray) -> Optional[np.ndarray]:
+def solve_linear(A: np.ndarray, b: np.ndarray, q: int) -> Optional[np.ndarray]:
     """One solution x of A x = b (free variables set to 0), or None."""
-    q = A.ctx.q
-    b = np.asarray(b, dtype=np.int64) % q
-    if b.shape != (A.rows,):
-        raise ValueError(f"rhs length {b.shape} does not match {A.rows} rows")
-    aug = MatrixFq(np.hstack([A.data, b.reshape(-1, 1)]), A.ctx)
-    R, rk, pivots = rref(aug)
-    if A.cols in pivots:  # pivot in the rhs column: inconsistent
+    A = np.asarray(A, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"rhs length {b.shape} does not match {A.shape[0]} rows")
+    R, rk, pivots = rref(np.hstack([A, b.reshape(-1, 1)]), q)
+    if A.shape[1] in pivots:  # pivot in the rhs column: inconsistent
         return None
-    x = np.zeros(A.cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R.data[i, -1]
+    x = np.zeros(A.shape[1], dtype=np.int64)
+    x[pivots] = R[:rk, -1]
     return x
 
 
 def solve_head_for_orthogonality(
-    V: MatrixFq, s2: np.ndarray, head_len: int
+    V: np.ndarray, s2: np.ndarray, head_len: int, q: int
 ) -> Optional[np.ndarray]:
-    """Extend a prescribed tail s2 to s = (s1, s2) with V s = 0.
+    """Extend a prescribed tail s2 to s = (s1, s2) with V s = 0 mod q.
 
     V's rows span the evaluated ideal subspace. Returns None only when the
     linear system for the head is inconsistent (a signal to resample points,
     not an error).
     """
-    q = V.ctx.q
     s2 = np.asarray(s2, dtype=np.int64) % q
-    if head_len < 0 or head_len + len(s2) != V.cols:
+    if head_len < 0 or head_len + len(s2) != V.shape[1]:
         raise ValueError(
-            f"head_len {head_len} + tail {len(s2)} must equal {V.cols} columns"
+            f"head_len {head_len} + tail {len(s2)} must equal {V.shape[1]} columns"
         )
-    head = MatrixFq(V.data[:, :head_len], V.ctx)
-    rhs = (-matmul_mod(V.data[:, head_len:], s2, q)) % q
-    s1 = solve_linear(head, rhs)
+    rhs = -matmul_mod(V[:, head_len:], s2, q) % q
+    s1 = solve_linear(V[:, :head_len], rhs, q)
     if s1 is None:
         return None
     s = np.concatenate([s1, s2])
-    assert np.all(V.matvec(s) == 0)
+    assert not np.any(matmul_mod(V, s, q))
     return s

@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .field import FieldContext
-from .linalg import MatrixFq, dot_mod, rref
+from .linalg import dot_mod, rref
 
 MONOMIAL_ORDER = "grlex"
 
@@ -223,7 +223,15 @@ class IdealSpec:
         return max(int(g.degree()) for g in self.generators)
 
 
-def ideal_truncated_basis(ideal: IdealSpec, r: int) -> MatrixFq:
+@dataclass(frozen=True)
+class IdealBasis:
+    """A row-reduced basis of an ideal slice (``data``) and its dimension."""
+
+    data: np.ndarray
+    rows: int
+
+
+def ideal_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
     """Row basis of span{m * g : g generator, deg(m*g) <= r}.
 
     This is the degree-<=r slice of the ideal as used operationally: monomial
@@ -248,6 +256,5 @@ def ideal_truncated_basis(ideal: IdealSpec, r: int) -> MatrixFq:
                 pos = out_index.position(e)
                 row[pos] = (row[pos] + coeff) % ctx.q
             rows.append(row)
-    M = MatrixFq(np.array(rows, dtype=np.int64), ctx)
-    R, rk, _ = rref(M)
-    return MatrixFq(R.data[:rk], ctx)
+    R, rk, _ = rref(np.array(rows, dtype=np.int64), ctx.q)
+    return IdealBasis(R[:rk], rk)

@@ -33,8 +33,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .field import FieldContext, round_nearest
-from .linalg import MatrixFq, dot_mod, matmul_mod, rref, solve_head_for_orthogonality
-from .mvpoly import IdealSpec, MonomialIndex, evaluation_matrix, ideal_truncated_basis, monomial_count
+from .linalg import dot_mod, matmul_mod, rank, solve_head_for_orthogonality
+from .mvpoly import (IdealBasis, IdealSpec, MonomialIndex, evaluation_matrix,
+                     ideal_truncated_basis, monomial_count)
 from .sampling import NoiseSpec, RandomStream, sample_noise_vector
 
 MODE_ADDITIVE = "additive_only"
@@ -113,7 +114,7 @@ class SchemeParams:
         return float(self.epsilon)
 
     def ctx(self) -> FieldContext:
-        return FieldContext(self.q)
+        return self.ideal.ctx  # validate() checked that its q is self.q
 
     def canonical_dict(self) -> dict:
         gens = []
@@ -181,10 +182,8 @@ class SecretKey:
     params: SchemeParams
     points: np.ndarray          # n x ell
     G: np.ndarray               # n x N_mode evaluation matrix
-    B_r: MatrixFq               # d_r x C(ell+r, r)
-    B_2r: Optional[MatrixFq]    # d_2r x C(ell+2r, 2r), mult mode only
-    d_r: int
-    d_2r: Optional[int]
+    B_r: IdealBasis             # d_r x C(ell+r, r)
+    B_2r: Optional[IdealBasis]  # d_2r x C(ell+2r, 2r), mult mode only
     s: np.ndarray               # length n, canonical residues
     p: int
     sigma_s: int                # positive integer, balanced sum of s entries
@@ -197,6 +196,14 @@ class SecretKey:
     @property
     def n(self) -> int:
         return self.params.n
+
+    @property
+    def d_r(self) -> int:
+        return self.B_r.rows
+
+    @property
+    def d_2r(self) -> Optional[int]:
+        return None if self.B_2r is None else self.B_2r.rows
 
     @property
     def head_len(self) -> int:
@@ -239,19 +246,33 @@ class SecretKey:
                 self._enc_basis = wide
         return self._enc_basis
 
-    def evaluated_basis(self) -> MatrixFq:
+    def evaluated_basis(self) -> np.ndarray:
         """Rows span the evaluated ideal subspace the secret annihilates."""
         B = self.B_r if self.params.mode == MODE_ADDITIVE else self.B_2r
-        return MatrixFq(matmul_mod(B.data, self.G.T, self.params.q), self.ctx)
+        return matmul_mod(B.data, self.G.T, self.params.q)
 
 
-def _mode_basis(params: SchemeParams) -> Tuple[MatrixFq, int, Optional[MatrixFq], Optional[int]]:
+def feasibility(params: SchemeParams) -> Tuple[IdealBasis, Optional[IdealBasis], int, int]:
+    """The key's bases B_r and B_2r (None in additive mode) and the admissible
+    range [lo, hi] of sigma_s*p; keygen and check-params both decide by it.
+
+    Raises KeyGenError("dimension") unless dim(ideal slice) < n <= N_enc, and
+    ParameterInfeasibleError("scale") when even the best case |s2| = 1 (that
+    is, sigma_s*p > 2h*alpha*q/sqrt(eps)) leaves no sigma_s*p <= floor(q/2)/h.
+    """
+    q, n, h = params.q, params.n, float(params.headroom)
     B_r = ideal_truncated_basis(params.ideal, params.r)
-    d_r = B_r.rows
-    if params.mode == MODE_ADDITIVE:
-        return B_r, d_r, None, None
-    B_2r = ideal_truncated_basis(params.ideal, 2 * params.r)
-    return B_r, d_r, B_2r, B_2r.rows
+    B_2r = ideal_truncated_basis(params.ideal, 2 * params.r) if params.mode == MODE_MULT else None
+    head_len = B_r.rows if B_2r is None else B_2r.rows
+    N_mode = monomial_count(params.ell, params.enc_degree())
+    if not (head_len < n <= N_mode):
+        raise KeyGenError("dimension", f"need dim(ideal slice)={head_len} < n={n} <= {N_mode}")
+    lo = math.floor(2.0 * h * params.alpha_f * q / math.sqrt(params.epsilon_f)) + 1
+    hi = math.floor((q // 2) / h)
+    if lo > hi:
+        raise ParameterInfeasibleError(
+            "scale", f"smallest admissible sigma_s*p={lo} exceeds floor(q/2)/h = {hi}")
+    return B_r, B_2r, lo, hi
 
 
 def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
@@ -264,25 +285,9 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     """
     ctx = params.ctx()
     q, n = params.q, params.n
-    B_r, d_r, B_2r, d_2r = _mode_basis(params)
-    head_len = d_r if params.mode == MODE_ADDITIVE else d_2r
-    N_mode = monomial_count(params.ell, params.enc_degree())
-
-    if not (head_len < n <= N_mode):
-        raise KeyGenError(
-            "dimension",
-            f"need dim(ideal slice)={head_len} < n={n} <= {N_mode}",
-        )
-
-    eps = params.epsilon_f
-    alpha_q = params.alpha_f * q
-    h = float(params.headroom)
-    # best case |s2| = 1: if even that cannot fit, no point set will help
-    if math.floor(2.0 * h * alpha_q / math.sqrt(eps)) + 1 > (q // 2) / h:
-        raise ParameterInfeasibleError(
-            "scale",
-            f"smallest admissible sigma_s*p exceeds floor(q/2)/h = {(q // 2) / h:.0f}",
-        )
+    B_r, B_2r, _, _ = feasibility(params)
+    B_mode = B_r if B_2r is None else B_2r
+    d_r, head_len = B_r.rows, B_mode.rows
 
     enc_index = MonomialIndex(params.ell, params.enc_degree())
     r_index = MonomialIndex(params.ell, params.r)
@@ -293,22 +298,21 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     for _ in range(_POINT_ATTEMPTS):
         points = _sample_distinct_points(point_stream, q, n, params.ell)
         G = evaluation_matrix(enc_index, ctx, points)
-        if rref(MatrixFq(G, ctx))[1] != n:
+        if rank(G, q) != n:
             failures["condition1"] += 1
             continue
         # the first d_r points must separate the degree-r ideal slice
         E_r = matmul_mod(B_r.data, evaluation_matrix(r_index, ctx, points[:d_r]).T, q)
-        if rref(MatrixFq(E_r, ctx))[1] != d_r:
+        if rank(E_r, q) != d_r:
             failures["condition2"] += 1
             continue
-        if params.mode == MODE_MULT:
-            E_2r = matmul_mod(B_2r.data, G[:d_2r].T, q)
-            if rref(MatrixFq(E_2r, ctx))[1] != d_2r:
+        if B_2r is not None:
+            E_2r = matmul_mod(B_2r.data, G[:head_len].T, q)
+            if rank(E_2r, q) != head_len:
                 failures["condition2"] += 1
                 continue
 
-        B_mode = B_r if params.mode == MODE_ADDITIVE else B_2r
-        V = MatrixFq(matmul_mod(B_mode.data, G.T, q), ctx)
+        V = matmul_mod(B_mode.data, G.T, q)
         found = _choose_secret(params, V, head_len, n - head_len, tail_stream)
         if found is None:
             failures["tail"] += 1
@@ -320,8 +324,6 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
             G=G,
             B_r=B_r,
             B_2r=B_2r,
-            d_r=d_r,
-            d_2r=d_2r,
             s=s,
             p=p,
             sigma_s=sigma,
@@ -350,13 +352,13 @@ def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> n
 
 def _choose_secret(
     params: SchemeParams,
-    V: MatrixFq,
+    V: np.ndarray,
     head_len: int,
     tail_len: int,
     stream: RandomStream,
 ) -> Optional[Tuple[np.ndarray, int, int]]:
     """Pick s2, extend to s orthogonal to V, derive sigma_s and p."""
-    ctx = V.ctx
+    ctx = params.ctx()
     q = params.q
     eps = params.epsilon_f
     alpha_q = params.alpha_f * q
@@ -370,7 +372,7 @@ def _choose_secret(
             s2 = stream.ternary(tail_len)
             if not np.any(s2):
                 continue
-        s = solve_head_for_orthogonality(V, s2 % q, head_len)
+        s = solve_head_for_orthogonality(V, s2 % q, head_len, q)
         if s is None:
             return None  # inconsistent system: resample the points
         sigma = ctx.balanced(int(s.sum() % q))
@@ -413,7 +415,14 @@ def encrypt(sk: SecretKey, m: int, stream: RandomStream) -> Ciphertext:
     return encrypt_traced(sk, m, stream)[0]
 
 
+def _check_key_match(sk: SecretKey, ct: Ciphertext):
+    if ct.q != sk.params.q or ct.n != sk.n:
+        raise ValueError(f"ciphertext (n={ct.n}, q={ct.q}) does not match the key "
+                         f"(n={sk.n}, q={sk.params.q})")
+
+
 def decrypt(sk: SecretKey, ct: Ciphertext) -> int:
+    _check_key_match(sk, ct)
     t = sk.ctx.balanced(dot_mod(sk.s, ct.c, sk.params.q))
     return round_nearest(t, sk.sigma_s * sk.p) % 2
 
@@ -448,6 +457,7 @@ def hom_mult(c1: Ciphertext, c2: Ciphertext, ek: EvalKey) -> Ciphertext:
 def noise_measure(sk: SecretKey, ct: Ciphertext, m: int) -> int:
     """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
     message multiple m (0/1 fresh; up to the add count after additions)."""
+    _check_key_match(sk, ct)
     q = sk.params.q
     return sk.ctx.balanced((dot_mod(sk.s, ct.c, q) - m * sk.sigma_s * sk.p) % q)
 

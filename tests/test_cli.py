@@ -172,6 +172,51 @@ def test_ciphertext_out_of_range_exit3(tmp_path, toy_paramfile, capsys):
     assert "'c'" in capsys.readouterr().err
 
 
+def test_short_ciphertext_exit3_names_n(tmp_path, toy_paramfile, capsys):
+    key = str(tmp_path / "key.json")
+    ct = str(tmp_path / "ct.json")
+    main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])
+    main(["encrypt", "--key", key, "--bit", "1", "--seed", "3", "--out", ct])
+    d = json.loads(open(ct).read())
+    d["c"] = d["c"][:-1]  # same params_hash, one entry short
+    open(ct, "w").write(json.dumps(d))
+    capsys.readouterr()
+    assert main(["decrypt", "--key", key, "--in", ct]) == 3
+    err = capsys.readouterr().err
+    assert "n=4" in err and "n=5" in err and "broadcast" not in err
+
+
+# the best-case boundary for q = 10007, h = 2, eps = 0.01: sigma_s*p must
+# exceed 40*alpha*q and stay <= floor(5003/2) = 2501, so alpha < 2501/400280
+@pytest.mark.parametrize("make_params", [toy_additive_params, toy_mult_params])
+@pytest.mark.parametrize("alpha", ["0.004", "0.006", "0.0062481", "0.0062482", "0.0065", "0.2"])
+def test_check_params_accepts_exactly_when_keygen_feasible(tmp_path, capsys, make_params, alpha):
+    from mvphe import ParameterInfeasibleError
+    from mvphe.errors import KeyGenError
+
+    params = make_params(alpha=alpha)
+    path = str(tmp_path / "p.json")
+    save_params(path, params)
+    try:
+        keygen(params, RandomStream(1))
+        infeasible = False
+    except ParameterInfeasibleError:
+        infeasible = True
+    except KeyGenError:  # a retry budget ran out: feasible, this seed unlucky
+        infeasible = False
+    capsys.readouterr()
+    code = main(["check-params", "--params", path, "--json"])
+    out, err = capsys.readouterr()
+    assert code == (4 if infeasible else 0)
+    assert infeasible == (float(alpha) * 400280 >= 2501)
+    if infeasible:
+        assert "scale" in err and out == ""
+    else:
+        obj = json.loads(out)
+        assert obj["sigma_p_min"] <= obj["sigma_p_max"] == 2501
+        assert "p_min" not in obj and "p_max" not in obj
+
+
 def test_ragged_key_points_exit3(tmp_path, toy_paramfile, capsys):
     key = str(tmp_path / "key.json")
     main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])

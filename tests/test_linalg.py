@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mvphe import (
-    FieldContext,
-    MatrixFq,
     RandomStream,
     in_rowspace,
     matmul_mod,
@@ -16,67 +14,63 @@ from mvphe import (
 
 Q = 10007
 Q31 = 2**31 - 1
-CTX = FieldContext(Q)
 
 
 def test_rref_identity_and_zero():
-    I = MatrixFq.identity(3, CTX)
-    R, rk, piv = rref(I)
-    assert R == I and rk == 3 and piv == [0, 1, 2]
-    Z = MatrixFq.zeros(2, 4, CTX)
-    R, rk, piv = rref(Z)
-    assert R == Z and rk == 0 and piv == []
+    I = np.eye(3, dtype=np.int64)
+    R, rk, piv = rref(I, Q)
+    assert np.array_equal(R, I) and rk == 3 and piv == [0, 1, 2]
+    Z = np.zeros((2, 4), dtype=np.int64)
+    R, rk, piv = rref(Z, Q)
+    assert np.array_equal(R, Z) and rk == 0 and piv == []
 
 
 def test_rref_random_shape_and_rowspace():
     rng = np.random.default_rng(0)
-    M = MatrixFq(rng.integers(0, Q, size=(10, 20)), CTX)
-    R, rk, piv = rref(M)
+    M = rng.integers(0, Q, size=(10, 20))
+    R, rk, piv = rref(M, Q)
     # unit pivots with zeros above and below
     for i, c in enumerate(piv):
-        col = R.data[:, c]
+        col = R[:, c]
         assert col[i] == 1 and np.count_nonzero(col) == 1
     # mutual row membership: equal row spaces
-    for row in R.data[:rk]:
-        assert in_rowspace(M, row)
-    for row in M.data:
-        assert in_rowspace(MatrixFq(R.data[:rk], CTX), row)
+    for row in R[:rk]:
+        assert in_rowspace(M, row, Q)
+    for row in M:
+        assert in_rowspace(R[:rk], row, Q)
 
 
 def test_rref_idempotent():
     rng = np.random.default_rng(1)
-    M = MatrixFq(rng.integers(0, Q, size=(6, 9)), CTX)
-    R, rk, _ = rref(M)
-    R2, rk2, _ = rref(R)
-    assert R2 == R and rk2 == rk
+    M = rng.integers(0, Q, size=(6, 9))
+    R, rk, _ = rref(M, Q)
+    R2, rk2, _ = rref(R, Q)
+    assert np.array_equal(R2, R) and rk2 == rk
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis(MatrixFq.identity(4, CTX)).rows == 0
+    assert nullspace_basis(np.eye(4, dtype=np.int64), Q).shape == (0, 4)
 
 
 def test_nullspace_all_ones_row_q7():
-    ctx7 = FieldContext(7)
-    M = MatrixFq(np.ones((1, 3), dtype=np.int64), ctx7)
-    N = nullspace_basis(M)
-    assert N.rows == 2
-    for v in N.data:
+    N = nullspace_basis(np.ones((1, 3), dtype=np.int64), 7)
+    assert N.shape[0] == 2
+    for v in N:
         assert int(v.sum()) % 7 == 0
-    assert rank(N) == 2
+    assert rank(N, 7) == 2
 
 
 def test_nullspace_random_properties():
     rng = np.random.default_rng(2)
     for rows, cols in ((4, 9), (8, 8), (12, 7)):
-        M = MatrixFq(rng.integers(0, Q, size=(rows, cols)), CTX)
-        N = nullspace_basis(M)
-        assert N.rows == cols - rank(M)
-        for v in N.data:
-            assert np.all(M.matvec(v) == 0)
+        M = rng.integers(0, Q, size=(rows, cols))
+        N = nullspace_basis(M, Q)
+        assert N.shape[0] == cols - rank(M, Q)
+        for v in N:
+            assert not np.any(matmul_mod(M, v, Q))
         # row-space basis stacked with null space spans everything
-        R, rk, _ = rref(M)
-        stacked = MatrixFq(np.vstack([R.data[:rk], N.data]), CTX) if N.rows else R
-        assert rank(stacked) == cols if N.rows else rk == cols
+        R, rk, _ = rref(M, Q)
+        assert rank(np.vstack([R[:rk], N]), Q) == cols
 
 
 def test_rank_nullity():
@@ -84,46 +78,46 @@ def test_rank_nullity():
     for _ in range(20):
         rows = int(rng.integers(1, 12))
         cols = int(rng.integers(1, 12))
-        M = MatrixFq(rng.integers(0, Q, size=(rows, cols)), CTX)
-        assert rank(M) + nullspace_basis(M).rows == cols
+        M = rng.integers(0, Q, size=(rows, cols))
+        assert rank(M, Q) + nullspace_basis(M, Q).shape[0] == cols
 
 
 def test_solve_linear_roundtrip_and_inconsistent():
     rng = np.random.default_rng(4)
-    A = MatrixFq(rng.integers(0, Q, size=(6, 4)), CTX)
+    A = rng.integers(0, Q, size=(6, 4))
     x = rng.integers(0, Q, size=4).astype(np.int64)
-    b = A.matvec(x)
-    got = solve_linear(A, b)
-    assert got is not None and np.all(A.matvec(got) == b)
+    b = matmul_mod(A, x, Q)
+    got = solve_linear(A, b, Q)
+    assert got is not None and np.array_equal(matmul_mod(A, got, Q), b)
     # an inconsistent system: two contradictory copies of one equation
-    A2 = MatrixFq(np.array([[1, 2], [1, 2]]), CTX)
-    assert solve_linear(A2, np.array([1, 3])) is None
+    A2 = np.array([[1, 2], [1, 2]])
+    assert solve_linear(A2, np.array([1, 3]), Q) is None
 
 
 def test_solve_head_decoupled_tail():
     rng = np.random.default_rng(5)
     head = rng.integers(0, Q, size=(3, 5)).astype(np.int64)
-    V = MatrixFq(np.hstack([head, np.zeros((3, 4), dtype=np.int64)]), CTX)
+    V = np.hstack([head, np.zeros((3, 4), dtype=np.int64)])
     s2 = rng.integers(0, Q, size=4)
-    s = solve_head_for_orthogonality(V, s2, head_len=5)
+    s = solve_head_for_orthogonality(V, s2, 5, Q)
     assert s is not None
-    assert np.all(V.matvec(s) == 0)
+    assert not np.any(matmul_mod(V, s, Q))
     assert np.array_equal(s[5:], s2 % Q)
 
 
 def test_solve_head_zero_tail():
     rng = np.random.default_rng(6)
-    V = MatrixFq(rng.integers(0, Q, size=(4, 9)), CTX)
-    s = solve_head_for_orthogonality(V, np.zeros(3, dtype=np.int64), head_len=6)
+    V = rng.integers(0, Q, size=(4, 9))
+    s = solve_head_for_orthogonality(V, np.zeros(3, dtype=np.int64), 6, Q)
     if s is not None:
-        assert np.all(V.matvec(s) == 0)
+        assert not np.any(matmul_mod(V, s, Q))
         assert np.all(s[6:] == 0)
 
 
 def test_solve_head_dimension_check():
-    V = MatrixFq.zeros(2, 5, CTX)
+    V = np.zeros((2, 5), dtype=np.int64)
     with pytest.raises(ValueError):
-        solve_head_for_orthogonality(V, np.zeros(2, dtype=np.int64), head_len=4)
+        solve_head_for_orthogonality(V, np.zeros(2, dtype=np.int64), 4, Q)
 
 
 def test_solve_head_never_fails_on_keygen_subspace(mult_key):
@@ -133,16 +127,15 @@ def test_solve_head_never_fails_on_keygen_subspace(mult_key):
     head = mult_key.head_len
     for _ in range(500):
         s2 = stream.ternary(mult_key.tail_len) % Q
-        s = solve_head_for_orthogonality(V, s2, head_len=head)
+        s = solve_head_for_orthogonality(V, s2, head, Q)
         assert s is not None
-        assert np.all(V.matvec(s) == 0)
+        assert not np.any(matmul_mod(V, s, Q))
         assert np.array_equal(s[head:], s2)
 
 
 def test_matmul_mod_blocked_matches_direct():
     # force the blocked path with a large q and long inner dimension
     big_q = 2147483647
-    ctx = FieldContext(big_q)
     rng = np.random.default_rng(7)
     A = rng.integers(0, big_q, size=(3, 500)).astype(np.int64)
     B = rng.integers(0, big_q, size=(500, 2)).astype(np.int64)
@@ -192,10 +185,9 @@ def test_matmul_mod_long_extreme_sums():
         assert matmul_mod(A, B, Q31)[0] == sign * k % Q31
 
 
-def _rref_rowwise(M):
+def _rref_rowwise(M, q):
     """Row-by-row elimination, first nonzero row as pivot: the reference for rref."""
-    q = M.ctx.q
-    A = M.data.copy()
+    A = np.asarray(M, dtype=np.int64) % q
     rows, cols = A.shape
     pivots = []
     r = 0
@@ -224,7 +216,6 @@ def _rref_rowwise(M):
 @pytest.mark.parametrize("q", [Q, Q31])
 def test_rref_matches_rowwise_reference(q):
     # the reduced echelon form is unique, so R, rank and pivots match exactly
-    ctx = FieldContext(q)
     rng = np.random.default_rng([q, 8])
 
     def rand(rows, cols):
@@ -238,8 +229,51 @@ def test_rref_matches_rowwise_reference(q):
     stacked = np.vstack([rand(4, 6)] * 3)  # repeated rows
     for data in (rand(12, 5), rand(5, 14), rand(73, 210), deficient, zero_cols,
                  late_pivot, stacked, np.zeros((3, 4), dtype=np.int64)):
-        M = MatrixFq(data, ctx)
-        R, rk, piv = rref(M)
-        R_ref, rk_ref, piv_ref = _rref_rowwise(M)
-        assert np.array_equal(R.data, R_ref)
+        R, rk, piv = rref(data, q)
+        R_ref, rk_ref, piv_ref = _rref_rowwise(data, q)
+        assert np.array_equal(R, R_ref)
         assert rk == rk_ref and piv == piv_ref
+
+
+@pytest.mark.parametrize("q", [Q, Q31])
+def test_rref_reduces_noncanonical_entries(q):
+    # entries below 0 or at/above q give the R of their canonical residues
+    rng = np.random.default_rng([q, 9])
+    M = rng.integers(0, q, size=(7, 11))
+    M[:, 3] = 0
+    shift = rng.integers(-3, 4, size=M.shape) * q  # negative and >= q copies
+    shift[0, 0] = -q
+    shift[1, 1] = q
+    assert (M + shift).min() < 0 and (M + shift).max() >= q
+    R, rk, piv = rref(M, q)
+    R2, rk2, piv2 = rref(M + shift, q)
+    assert np.array_equal(R2, R) and rk2 == rk and piv2 == piv
+    assert np.array_equal(R, _rref_rowwise(M, q)[0])
+
+
+def _in_rowspace_two_ranks(M, v, q):
+    """The former definition: v is a member when stacking it keeps the rank."""
+    return rank(np.vstack([M, np.asarray(v) % q]), q) == rank(M, q)
+
+
+@pytest.mark.parametrize("q", [Q, Q31])
+def test_in_rowspace_matches_two_rank_definition(q):
+    rng = np.random.default_rng([q, 10])
+    for rows, cols in ((3, 8), (8, 8), (12, 5), (6, 15)):
+        M = matmul_mod(rng.integers(0, q, size=(rows, 4)), rng.integers(0, q, size=(4, cols)), q)
+        members = matmul_mod(rng.integers(0, q, size=(5, rows)), M, q)
+        others = rng.integers(0, q, size=(5, cols))
+        others[0] = members[0]
+        others[0, -1] = (others[0, -1] + 1) % q  # one entry off a member
+        for v, want in [(v, True) for v in members] + [(v, None) for v in others]:
+            got = in_rowspace(M, v, q)
+            assert got == _in_rowspace_two_ranks(M, v, q)
+            assert want is None or got == want
+        stack = np.vstack([members, others])  # one answer per row
+        assert list(in_rowspace(M, stack, q)) == [in_rowspace(M, v, q) for v in stack]
+        assert not in_rowspace(M, others[0], q)
+        assert in_rowspace(M, np.zeros(cols, dtype=np.int64), q)
+        assert in_rowspace(M, members[1] - q, q)  # noncanonical entries
+    zero = np.zeros((3, 4), dtype=np.int64)
+    assert in_rowspace(zero, np.zeros(4, dtype=np.int64), q)
+    assert not in_rowspace(zero, np.eye(4, dtype=np.int64)[2], q)

@@ -8,7 +8,6 @@ from mvphe import (
     Ciphertext,
     DepthError,
     KeyGenError,
-    MatrixFq,
     MonomialIndex,
     Polynomial,
     IdealSpec,
@@ -28,7 +27,7 @@ from mvphe import (
     noise_budget,
     noise_measure,
     poly_mul,
-    rref,
+    rank,
 )
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
 from mvphe.scheme import MODE_ADDITIVE, MODE_MULT
@@ -140,12 +139,12 @@ def test_additive_key_invariants(toy_key):
     q = sk.params.q
     assert sk.d_r == 2 and sk.n == 5
     # condition 1: rank(G) = n
-    assert rref(MatrixFq(sk.G, sk.ctx))[1] == sk.n
+    assert rank(sk.G, q) == sk.n
     # condition 2: degree-r slice separates at the first d_r points
     E = matmul_mod(sk.B_r.data, sk.G[: sk.d_r].T, q)
-    assert rref(MatrixFq(E, sk.ctx))[1] == sk.d_r
+    assert rank(E, q) == sk.d_r
     # orthogonality of s against the whole evaluated basis
-    assert np.all(sk.evaluated_basis().matvec(sk.s) == 0)
+    assert not np.any(matmul_mod(sk.evaluated_basis(), sk.s, q))
     # sigma and p bounds
     assert 0 < sk.sigma_s * sk.p <= q // 2
     assert math.gcd(sk.p, q) == 1
@@ -293,6 +292,31 @@ def test_hom_add_dimension_mismatch(toy_key, mult_key):
     c2 = encrypt(mult_key, 0, stream.derive(1))
     with pytest.raises(ValueError):
         hom_add(c1, c2)
+
+
+def test_decrypt_and_noise_measure_reject_foreign_ciphertext(toy_key, mult_key):
+    ct = encrypt(mult_key, 1, RandomStream(40))  # n = 15 against a key with n = 5
+    short = Ciphertext(encrypt(toy_key, 1, RandomStream(41)).c[:-1], Q)
+    other_q = Ciphertext(np.ones(toy_key.n, dtype=np.int64), 10009)
+    for bad in (ct, short, other_q):
+        with pytest.raises(ValueError, match=r"does not match the key \(n=5, q=10007\)"):
+            decrypt(toy_key, bad)
+        with pytest.raises(ValueError, match="does not match the key"):
+            noise_measure(toy_key, bad, 1)
+
+
+def test_decrypt_does_not_retest_q(toy_key, monkeypatch):
+    # q is checked once, when the parameters are built; decrypt only reads it
+    import mvphe.field
+
+    calls = []
+    real = mvphe.field._is_prime
+    monkeypatch.setattr(mvphe.field, "_is_prime", lambda n: calls.append(n) or real(n))
+    for i in range(100):
+        ct = encrypt(toy_key, i & 1, RandomStream(42).derive(i))
+        decrypt(toy_key, ct)
+        noise_measure(toy_key, ct, i & 1)
+    assert calls == []
 
 
 def test_hom_add_error_rate_within_doubled_budget(toy_key):
