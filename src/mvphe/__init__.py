@@ -15,9 +15,9 @@ from .linalg import (
     in_rowspace,
     matmul_mod,
     nullspace_basis,
+    orthogonal_head_map,
     rank,
     rref,
-    solve_head_for_orthogonality,
     solve_linear,
 )
 from .mvpoly import (

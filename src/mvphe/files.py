@@ -115,7 +115,8 @@ def params_from_dict(d: dict) -> SchemeParams:
     mode = _require(d, "mode", str)
     headroom = _require(d, "headroom", (int, float))
     ideal_raw = _require(d, "ideal", list)
-    literal = _require(d, "literal_mult_noise", bool, optional=True) or False
+    if "literal_mult_noise" in d:
+        raise FileFormatError("literal_mult_noise", "no longer supported; remove the key")
     for name, value in (("alpha", alpha), ("epsilon", epsilon)):
         try:
             Decimal(value)
@@ -150,7 +151,7 @@ def params_from_dict(d: dict) -> SchemeParams:
         ideal = IdealSpec(generators)
         return SchemeParams(
             lam=lam, q=q, ell=ell, r=r, n=n, alpha=alpha, epsilon=epsilon,
-            mode=mode, ideal=ideal, headroom=headroom, literal_mult_noise=literal,
+            mode=mode, ideal=ideal, headroom=headroom,
         )
     except ValueError as exc:
         raise FileFormatError("params", str(exc))

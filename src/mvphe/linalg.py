@@ -45,8 +45,12 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def rref(M: np.ndarray, q: int) -> Tuple[np.ndarray, int, List[int]]:
-    """Reduced row echelon form of M mod q; returns (R, rank, pivot_columns)."""
+def _eliminate(M: np.ndarray, q: int, reduce_above: bool) -> Tuple[np.ndarray, List[int]]:
+    """Row echelon form of M mod q with unit pivots, and its pivot columns.
+
+    With ``reduce_above`` each pivot column is also cleared above its pivot,
+    which gives the reduced form; without it only the rows below change.
+    """
     A = np.asarray(M, dtype=np.int64) % q
     rows, cols = A.shape
     pivots: List[int] = []
@@ -61,16 +65,24 @@ def rref(M: np.ndarray, q: int) -> Tuple[np.ndarray, int, List[int]]:
             A[[r, r + nz[0]]] = A[[r + nz[0], r]]
         # rows r.. are zero left of column c, so only columns c.. change
         A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, q) % q
-        col = A[:, c].copy()
-        col[r] = 0
-        A[:, c:] = (A[:, c:] - col[:, None] * A[r, c:]) % q
+        top = 0 if reduce_above else r
+        col = A[top:, c].copy()
+        col[r - top] = 0
+        A[top:, c:] = (A[top:, c:] - col[:, None] * A[r, c:]) % q
         pivots.append(c)
         r += 1
-    return A, len(pivots), pivots
+    return A, pivots
+
+
+def rref(M: np.ndarray, q: int) -> Tuple[np.ndarray, int, List[int]]:
+    """Reduced row echelon form of M mod q; returns (R, rank, pivot_columns)."""
+    R, pivots = _eliminate(M, q, reduce_above=True)
+    return R, len(pivots), pivots
 
 
 def rank(M: np.ndarray, q: int) -> int:
-    return rref(M, q)[1]
+    """Rank of M mod q, read off the echelon form (no back-substitution)."""
+    return len(_eliminate(M, q, reduce_above=False)[1])
 
 
 def nullspace_basis(M: np.ndarray, q: int) -> np.ndarray:
@@ -109,24 +121,17 @@ def solve_linear(A: np.ndarray, b: np.ndarray, q: int) -> Optional[np.ndarray]:
     return x
 
 
-def solve_head_for_orthogonality(
-    V: np.ndarray, s2: np.ndarray, head_len: int, q: int
-) -> Optional[np.ndarray]:
-    """Extend a prescribed tail s2 to s = (s1, s2) with V s = 0 mod q.
+def orthogonal_head_map(V: np.ndarray, head_len: int, q: int) -> Optional[np.ndarray]:
+    """K with V·(K·s2, s2) ≡ 0 mod q for every tail s2, from one elimination.
 
-    V's rows span the evaluated ideal subspace. Returns None only when the
-    linear system for the head is inconsistent (a signal to resample points,
-    not an error).
+    V = [V_head | V_tail] has head_len columns in its head. K exists exactly
+    when the pivots of V are its first head_len columns, that is, when V_head
+    has full rank head_len and V_tail adds none; then R = [I | V_head⁻¹·V_tail]
+    and K = −R[:, head_len:]. Returns None otherwise.
     """
-    s2 = np.asarray(s2, dtype=np.int64) % q
-    if head_len < 0 or head_len + len(s2) != V.shape[1]:
-        raise ValueError(
-            f"head_len {head_len} + tail {len(s2)} must equal {V.shape[1]} columns"
-        )
-    rhs = -matmul_mod(V[:, head_len:], s2, q) % q
-    s1 = solve_linear(V[:, :head_len], rhs, q)
-    if s1 is None:
+    if not 0 <= head_len <= V.shape[1]:
+        raise ValueError(f"head_len {head_len} outside [0, {V.shape[1]}] columns")
+    R, rk, pivots = rref(V, q)
+    if pivots != list(range(head_len)):
         return None
-    s = np.concatenate([s1, s2])
-    assert not np.any(matmul_mod(V, s, q))
-    return s
+    return -R[:rk, head_len:] % q

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -194,13 +194,21 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(out_index, f.ctx, out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealSpec:
-    """Generators of the ideal I as handed to key generation."""
+    """Generators of the ideal I as handed to key generation.
 
-    generators: List[Polynomial] = field(default_factory=list)
+    The generators are frozen into a tuple, because the ideal keeps the
+    truncated bases built from them (see :func:`ideal_truncated_basis`).
+    """
+
+    generators: Tuple[Polynomial, ...]
+    _bases: Dict[int, "IdealBasis"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ValueError("ideal needs at least one generator")
         ell = self.generators[0].index.ell
@@ -239,7 +247,17 @@ def ideal_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
     that only arise through higher-degree cancellations are not chased (no
     Groebner machinery); the span used here is what both encryption and the
     orthogonality solve are built on, so the scheme stays consistent.
+
+    The basis is built once per ideal and degree and kept on the ideal; every
+    later call returns the same object, whose ``data`` is read-only.
     """
+    basis = ideal._bases.get(r)
+    if basis is None:
+        basis = ideal._bases[r] = _build_truncated_basis(ideal, r)
+    return basis
+
+
+def _build_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
     ctx = ideal.ctx
     out_index = MonomialIndex(ideal.ell, r)
     rows = []
@@ -257,4 +275,6 @@ def ideal_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
                 row[pos] = (row[pos] + coeff) % ctx.q
             rows.append(row)
     R, rk, _ = rref(np.array(rows, dtype=np.int64), ctx.q)
-    return IdealBasis(R[:rk], rk)
+    data = R[:rk]
+    data.flags.writeable = False
+    return IdealBasis(data, rk)

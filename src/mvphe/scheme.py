@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .field import FieldContext, round_nearest
-from .linalg import dot_mod, matmul_mod, rank, solve_head_for_orthogonality
+from .linalg import dot_mod, matmul_mod, orthogonal_head_map, rank
 from .mvpoly import (IdealBasis, IdealSpec, MonomialIndex, evaluation_matrix,
                      ideal_truncated_basis, monomial_count)
 from .sampling import NoiseSpec, RandomStream, sample_noise_vector
@@ -66,7 +66,6 @@ class SchemeParams:
     mode: str
     ideal: IdealSpec
     headroom: float = 2.0
-    literal_mult_noise: bool = False  # restore the wider noise support for experiments
 
     def __post_init__(self):
         self.alpha = _to_decimal(self.alpha)
@@ -122,7 +121,7 @@ class SchemeParams:
             gens.append([
                 {"coeff": int(c), "exps": list(e)} for c, e in g.terms()
             ])
-        d = {
+        return {
             "lambda": self.lam,
             "q": self.q,
             "ell": self.ell,
@@ -134,9 +133,6 @@ class SchemeParams:
             "headroom": self.headroom,
             "ideal": gens,
         }
-        if self.literal_mult_noise:
-            d["literal_mult_noise"] = True
-        return d
 
 
 @dataclass
@@ -222,15 +218,9 @@ class SecretKey:
     def s2_norm(self) -> float:
         return float(np.linalg.norm(self.ctx.balanced(self.s2)))
 
-    def noise_support_len(self) -> int:
-        if self.params.mode == MODE_ADDITIVE:
-            return self.n - self.d_r
-        if self.params.literal_mult_noise:
-            return self.n - self.d_r  # the wider support; breaks correctness
-        return self.n - self.d_2r
-
     def noise_spec(self) -> NoiseSpec:
-        return NoiseSpec(self.params.alpha_f, self.params.q, self.noise_support_len())
+        """Noise lands on the tail only, the coordinates that s2 reads."""
+        return NoiseSpec(self.params.alpha_f, self.params.q, self.tail_len)
 
     def enc_basis(self) -> np.ndarray:
         """B_r rows injected into the key's evaluation index (cached)."""
@@ -301,19 +291,22 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
         if rank(G, q) != n:
             failures["condition1"] += 1
             continue
-        # the first d_r points must separate the degree-r ideal slice
-        E_r = matmul_mod(B_r.data, evaluation_matrix(r_index, ctx, points[:d_r]).T, q)
-        if rank(E_r, q) != d_r:
-            failures["condition2"] += 1
-            continue
+        # condition 2: the first d_r points separate the degree-r ideal slice,
+        # and the first head_len points the evaluated one, whose matrix is the
+        # head of V = B_mode·Gᵀ (E_2r; in additive mode E_r itself). One
+        # elimination of V checks the head and gives s1 = K·s2 for every s2.
         if B_2r is not None:
-            E_2r = matmul_mod(B_2r.data, G[:head_len].T, q)
-            if rank(E_2r, q) != head_len:
+            E_r = matmul_mod(B_r.data, evaluation_matrix(r_index, ctx, points[:d_r]).T, q)
+            if rank(E_r, q) != d_r:
                 failures["condition2"] += 1
                 continue
-
         V = matmul_mod(B_mode.data, G.T, q)
-        found = _choose_secret(params, V, head_len, n - head_len, tail_stream)
+        K = orthogonal_head_map(V, head_len, q)
+        if K is None:
+            failures["condition2"] += 1
+            continue
+
+        found = _choose_secret(params, V, K, tail_stream)
         if found is None:
             failures["tail"] += 1
             continue
@@ -353,12 +346,13 @@ def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> n
 def _choose_secret(
     params: SchemeParams,
     V: np.ndarray,
-    head_len: int,
-    tail_len: int,
+    K: np.ndarray,
     stream: RandomStream,
 ) -> Optional[Tuple[np.ndarray, int, int]]:
-    """Pick s2, extend to s orthogonal to V, derive sigma_s and p."""
+    """Pick s2, extend it to s = (K·s2, s2) orthogonal to V, derive sigma_s
+    and p. Raises KeyGenError("orthogonality") if V·s is not zero."""
     ctx = params.ctx()
+    head_len, tail_len = K.shape
     q = params.q
     eps = params.epsilon_f
     alpha_q = params.alpha_f * q
@@ -372,9 +366,8 @@ def _choose_secret(
             s2 = stream.ternary(tail_len)
             if not np.any(s2):
                 continue
-        s = solve_head_for_orthogonality(V, s2 % q, head_len, q)
-        if s is None:
-            return None  # inconsistent system: resample the points
+        s2 = s2 % q
+        s = np.concatenate([matmul_mod(K, s2, q), s2])
         sigma = ctx.balanced(int(s.sum() % q))
         if sigma == 0:
             continue
@@ -387,6 +380,8 @@ def _choose_secret(
         # the headroom multiplier also caps the message multiple so that
         # h plaintext units still land inside the balanced window
         if sigma * p * h <= q // 2:
+            if np.any(matmul_mod(V, s, q)):
+                raise KeyGenError("orthogonality", "the head solve left V·s nonzero")
             return s, sigma, p
     return None
 

@@ -7,10 +7,12 @@ from mvphe.files import (
     load_ciphertext,
     load_evalkey,
     load_key,
+    load_params,
     params_hash,
     save_ciphertext,
     save_evalkey,
     save_key,
+    save_params,
 )
 
 
@@ -63,3 +65,20 @@ def test_malformed_artifact_names_field(artifacts, kind, where, change, field):
     with pytest.raises(FileFormatError) as exc:
         LOADERS[kind](path)
     assert exc.value.field == field
+
+
+def test_deleted_literal_mult_noise_key_is_refused(tmp_path, artifacts, mult_key):
+    # the flag's wider noise support is gone; a file that still asks for it
+    # is refused by name rather than silently loaded without it
+    path = tmp_path / "params.json"
+    save_params(path, mult_key.params)
+    d = json.loads(path.read_text())
+    d["literal_mult_noise"] = True
+    path.write_text(json.dumps(d))
+    key = json.loads(artifacts["key"].read_text())
+    key["params"]["literal_mult_noise"] = False
+    artifacts["key"].write_text(json.dumps(key))
+    for load, target in ((load_params, path), (load_key, artifacts["key"])):
+        with pytest.raises(FileFormatError) as exc:
+            load(target)
+        assert exc.value.field == "literal_mult_noise"

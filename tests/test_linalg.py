@@ -6,9 +6,9 @@ from mvphe import (
     in_rowspace,
     matmul_mod,
     nullspace_basis,
+    orthogonal_head_map,
     rank,
     rref,
-    solve_head_for_orthogonality,
     solve_linear,
 )
 
@@ -94,43 +94,66 @@ def test_solve_linear_roundtrip_and_inconsistent():
     assert solve_linear(A2, np.array([1, 3]), Q) is None
 
 
+def _extend(K, s2, q):
+    """The secret s = (K·s2, s2) that a head map K gives for the tail s2."""
+    return np.concatenate([matmul_mod(K, s2, q), s2])
+
+
 def test_solve_head_decoupled_tail():
+    # V = [H | 0]: the tail never meets V, so every head is zero
     rng = np.random.default_rng(5)
-    head = rng.integers(0, Q, size=(3, 5)).astype(np.int64)
-    V = np.hstack([head, np.zeros((3, 4), dtype=np.int64)])
+    head = rng.integers(0, Q, size=(5, 5)).astype(np.int64)
+    V = np.hstack([head, np.zeros((5, 4), dtype=np.int64)])
+    K = orthogonal_head_map(V, 5, Q)
+    assert K is not None and K.shape == (5, 4) and not np.any(K)
     s2 = rng.integers(0, Q, size=4)
-    s = solve_head_for_orthogonality(V, s2, 5, Q)
-    assert s is not None
+    s = _extend(K, s2, Q)
     assert not np.any(matmul_mod(V, s, Q))
-    assert np.array_equal(s[5:], s2 % Q)
+    assert np.array_equal(s[5:], s2)
 
 
 def test_solve_head_zero_tail():
-    rng = np.random.default_rng(6)
-    V = rng.integers(0, Q, size=(4, 9))
-    s = solve_head_for_orthogonality(V, np.zeros(3, dtype=np.int64), 6, Q)
-    if s is not None:
-        assert not np.any(matmul_mod(V, s, Q))
-        assert np.all(s[6:] == 0)
+    for q in (Q, Q31):
+        rng = np.random.default_rng([q, 6])
+        V = rng.integers(0, q, size=(4, 9))
+        K = orthogonal_head_map(V, 4, q)
+        assert K is not None and K.shape == (4, 5)
+        assert not np.any(_extend(K, np.zeros(5, dtype=np.int64), q))
+        for _ in range(20):
+            s2 = rng.integers(0, q, size=5)
+            assert not np.any(matmul_mod(V, _extend(K, s2, q), q))
+
+
+@pytest.mark.parametrize("q", [Q, Q31])
+def test_solve_head_refuses_heads_without_unique_solution(q):
+    rng = np.random.default_rng([q, 7])
+    V = rng.integers(0, q, size=(4, 9))
+    assert orthogonal_head_map(V, 4, q) is not None
+    singular = V.copy()
+    singular[:, 3] = 2 * singular[:, 1] % q  # dependent head columns
+    assert orthogonal_head_map(singular, 4, q) is None
+    assert orthogonal_head_map(V, 3, q) is None  # a tail column carries a pivot
+    assert orthogonal_head_map(V, 6, q) is None  # a head wider than V's rank
 
 
 def test_solve_head_dimension_check():
     V = np.zeros((2, 5), dtype=np.int64)
-    with pytest.raises(ValueError):
-        solve_head_for_orthogonality(V, np.zeros(2, dtype=np.int64), 4, Q)
+    for head_len in (-1, 6):
+        with pytest.raises(ValueError):
+            orthogonal_head_map(V, head_len, Q)
 
 
 def test_solve_head_never_fails_on_keygen_subspace(mult_key):
     # conditions 1-2 guarantee the head block is invertible
     V = mult_key.evaluated_basis()
+    K = orthogonal_head_map(V, mult_key.head_len, Q)
+    assert K is not None
     stream = RandomStream(77)
-    head = mult_key.head_len
     for _ in range(500):
         s2 = stream.ternary(mult_key.tail_len) % Q
-        s = solve_head_for_orthogonality(V, s2, head, Q)
-        assert s is not None
+        s = _extend(K, s2, Q)
         assert not np.any(matmul_mod(V, s, Q))
-        assert np.array_equal(s[head:], s2)
+        assert np.array_equal(s[mult_key.head_len :], s2)
 
 
 def test_matmul_mod_blocked_matches_direct():
@@ -233,6 +256,7 @@ def test_rref_matches_rowwise_reference(q):
         R_ref, rk_ref, piv_ref = _rref_rowwise(data, q)
         assert np.array_equal(R, R_ref)
         assert rk == rk_ref and piv == piv_ref
+        assert rank(data, q) == rk_ref  # the echelon-only elimination
 
 
 @pytest.mark.parametrize("q", [Q, Q31])

@@ -6,6 +6,7 @@ import pytest
 
 from mvphe import (
     Ciphertext,
+    FieldContext,
     DepthError,
     KeyGenError,
     MonomialIndex,
@@ -30,14 +31,13 @@ from mvphe import (
     rank,
 )
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
+from mvphe import scheme
 from mvphe.scheme import MODE_ADDITIVE, MODE_MULT
 
 Q = TOY_Q
 
 
 def _unit_ideal():
-    from mvphe import FieldContext
-
     idx = MonomialIndex(2, 2)
     return IdealSpec([Polynomial.from_terms(idx, FieldContext(Q), [(1, (0, 0))])])
 
@@ -180,6 +180,81 @@ def test_keygen_deterministic(toy_params):
     assert (a.p, a.sigma_s) == (b.p, b.sigma_s)
 
 
+def _point_ideal_params():
+    """Additive params whose ideal <x1 - 5, x2 - 7> is every poly vanishing
+    at (5, 7): d_r = 5 and n = 6, so the tail has one coordinate."""
+    idx, ctx = MonomialIndex(2, 2), FieldContext(Q)
+    gens = [Polynomial.from_terms(idx, ctx, [(1, (1, 0)), (-5, (0, 0))]),
+            Polynomial.from_terms(idx, ctx, [(1, (0, 1)), (-7, (0, 0))])]
+    return SchemeParams(lam=32, q=Q, ell=2, r=2, n=6, alpha="0.0008", epsilon="0.01",
+                        mode=MODE_ADDITIVE, ideal=IdealSpec(gens))
+
+
+def test_keygen_condition2_rejects_a_point_of_the_ideal_variety(monkeypatch):
+    # every ideal member vanishes at (5, 7), so a point set holding it among
+    # the first head_len points evaluates the ideal slice to a singular head
+    params = _point_ideal_params()
+    assert keygen(params, RandomStream(3)).head_len == 5
+    real_sampler = scheme._sample_distinct_points
+    calls = []
+
+    def sampler_with_root(stream, q, n, ell):
+        points = real_sampler(stream, q, n, ell)
+        points[len(calls) % 5] = (5, 7)
+        calls.append(1)
+        return points
+
+    monkeypatch.setattr(scheme, "_sample_distinct_points", sampler_with_root)
+    with pytest.raises(KeyGenError) as exc:
+        keygen(params, RandomStream(3))
+    assert exc.value.reason == "condition2"
+    assert "'condition1': 0" in str(exc.value) and "'tail': 0" in str(exc.value)
+
+
+def test_keygen_checks_orthogonality_without_assert(toy_params, monkeypatch):
+    # a corrupted head map must raise even under python -O, which strips asserts
+    real_map = scheme.orthogonal_head_map
+
+    def corrupted(V, head_len, q):
+        K = real_map(V, head_len, q)
+        return None if K is None else (K + 1) % q
+
+    monkeypatch.setattr(scheme, "orthogonal_head_map", corrupted)
+    with pytest.raises(KeyGenError) as exc:
+        keygen(toy_params, RandomStream(42))
+    assert exc.value.reason == "orthogonality"
+
+
+def test_truncated_bases_built_once_per_ideal(tmp_path, monkeypatch):
+    from mvphe import mvpoly
+    from mvphe.files import load_params, save_params
+
+    built = []
+    real_build = mvpoly._build_truncated_basis
+
+    def counting_build(ideal, r):
+        built.append(r)
+        return real_build(ideal, r)
+
+    monkeypatch.setattr(mvpoly, "_build_truncated_basis", counting_build)
+    params = toy_mult_params()
+    a, b = keygen(params, RandomStream(1)), keygen(params, RandomStream(2))
+    assert sorted(built) == [2, 4]
+    assert a.B_r is b.B_r and a.B_2r is b.B_2r
+    with pytest.raises(ValueError):
+        a.B_2r.data[0, 0] = 1  # shared, so read-only
+
+    # a params object loaded again from the same file has its own ideal
+    path = tmp_path / "params.json"
+    save_params(path, params)
+    built.clear()
+    first, second = load_params(path)[0], load_params(path)[0]
+    ka, kb = keygen(first, RandomStream(1)), keygen(second, RandomStream(1))
+    assert sorted(built) == [2, 2, 4, 4]
+    assert ka.B_2r is not kb.B_2r and np.array_equal(ka.B_2r.data, kb.B_2r.data)
+    assert np.array_equal(ka.s, a.s)
+
+
 # ---------------------------------------------------------------------------
 # encrypt / decrypt
 
@@ -189,7 +264,7 @@ def test_encrypt_formula_and_trace(toy_key):
     expect = (sk.p + matmul_mod(sk.G, f, Q) + e) % Q
     assert np.array_equal(ct.c, expect)
     assert ct.adds == 0 and ct.mults == 0
-    assert np.all(e[: sk.n - sk.noise_support_len()] == 0)
+    assert np.all(e[: sk.head_len] == 0)
 
 
 def test_encrypt_rejects_non_bits(toy_key):
@@ -463,10 +538,3 @@ def test_noise_budget_fields(toy_key, toy_key_noiseless):
     assert b0.k == math.inf
     assert b0.predicted_std_fresh == 0 and b0.predicted_std_add == 0
     assert b0.predicted_std_mult == 0
-
-
-def test_literal_mult_noise_flag():
-    params = toy_mult_params()
-    params.literal_mult_noise = True
-    sk = keygen(params, RandomStream(49))
-    assert sk.noise_support_len() == sk.n - sk.d_r  # wider than the s2 tail
