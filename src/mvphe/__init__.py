@@ -46,6 +46,7 @@ from .scheme import (
     SecretKey,
     decrypt,
     encrypt,
+    encrypt_batch,
     encrypt_traced,
     eval_key,
     hom_add,

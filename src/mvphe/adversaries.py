@@ -84,8 +84,7 @@ class IndCpaRankAdversary:
         if oracles.leak is None or oracles.leak.p is None:
             raise ValueError("IndCpaRankAdversary needs the leaked scale p")
         p = oracles.leak.p
-        span = [oracles.encrypt_zero().c for _ in range(oracles.n + self.extra)]
-        M = np.array(span, dtype=np.int64)
+        M = oracles.encrypt_zeros(oracles.n + self.extra)
         c = oracles.left_right(self.m0, self.m1).c
         member = in_rowspace(M, np.stack([c - p * self.m0, c - p * self.m1]), oracles.q)
         if member[0]:

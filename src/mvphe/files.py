@@ -241,6 +241,8 @@ def _require_basis(d: dict, field: str, params: SchemeParams, degree: int) -> Id
 
 
 def save_ciphertext(path, ct: Ciphertext, phash: str):
+    if ct.c.ndim != 1:
+        raise ValueError(f"a ciphertext file holds one ciphertext, not a {ct.c.shape} stack")
     d = {"version": FILE_VERSION, "params_hash": phash,
          "c": ct.c.tolist(), "adds": ct.adds, "mults": ct.mults, "q": ct.q}
     Path(path).write_text(canonical_json(d))

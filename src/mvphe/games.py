@@ -23,6 +23,7 @@ from .scheme import (
     SchemeParams,
     SecretKey,
     encrypt,
+    encrypt_batch,
     keygen,
 )
 
@@ -86,8 +87,8 @@ class _OracleBase:
         self.audit = []
         self.leak: Optional[Leak] = None
 
-    def _count_sample(self):
-        self._samples += 1
+    def _count_sample(self, k: int = 1):
+        self._samples += k
         if self._samples > self._cap:
             raise ProtocolViolationError(f"sample cap {self._cap} exceeded")
 
@@ -162,19 +163,32 @@ class DlweOracles(_OracleBase):
 
 
 class IndCpaOracles(_OracleBase):
-    """Encrypt-zero oracle plus a one-shot left-right challenge."""
+    """Encrypt-zero oracle plus a one-shot left-right challenge.
+
+    Encryptions of zero come from the child stream 0 and the challenge from
+    child 1, so no sample shares randomness with the challenge.
+    """
 
     def __init__(self, sk: SecretKey, stream, force_beta=None, sample_cap=SAMPLE_CAP):
         super().__init__(stream, force_beta, sample_cap)
         self.sk = sk
         self.n, self.q = sk.n, sk.params.q
         self.leak = Leak(p=sk.p, sk=sk, s=sk.s)
+        self._zeros_stream = stream.derive(0)
+
+    def encrypt_zeros(self, k: int) -> np.ndarray:
+        """k encryptions of zero, the rows of one k×n batch; all k count
+        against the sample cap before anything is drawn."""
+        if k < 1:
+            raise ValueError(f"need k >= 1 encryptions, got {k}")
+        self._count_sample(k)
+        C = encrypt_batch(self.sk, np.zeros(k, dtype=np.int64), self._zeros_stream)
+        self.audit.extend(("encrypt_zero", row) for row in C)
+        return C
 
     def encrypt_zero(self) -> Ciphertext:
-        self._count_sample()
-        ct = encrypt(self.sk, 0, self._stream.derive(self._samples))
-        self.audit.append(("encrypt_zero", ct.c))
-        return ct
+        """One encryption of zero: the k = 1 case of encrypt_zeros."""
+        return Ciphertext(self.encrypt_zeros(1)[0], self.q)
 
     def left_right(self, m0: int, m1: int) -> Ciphertext:
         self._claim_challenge()
@@ -183,7 +197,7 @@ class IndCpaOracles(_OracleBase):
         if m0 != 0 and m1 != 0:
             raise ProtocolViolationError("one challenge message must be 0")
         m = (m0, m1)[self.beta]
-        ct = encrypt(self.sk, m, self._stream.derive(SAMPLE_CAP + 1))
+        ct = encrypt(self.sk, m, self._stream.derive(1))
         self.audit.append(("left_right", m0, m1, ct.c))
         return ct
 
@@ -274,10 +288,11 @@ class _IndCpaViewOfHsm:
         self.leak = leak
         self.transcript = []
 
-    def encrypt_zero(self) -> Ciphertext:
-        v = self._inner.sample()
-        self.transcript.append(("encrypt_zero", v, v))
-        return Ciphertext(v, self.q)
+    def encrypt_zeros(self, k: int) -> np.ndarray:
+        """k Sample outputs as rows, one Sample call each (HSM draws as ever)."""
+        V = np.array([self._inner.sample() for _ in range(k)], dtype=np.int64).reshape(k, self.n)
+        self.transcript.extend(("encrypt_zero", v, v) for v in V)
+        return V
 
     def left_right(self, m0: int, m1: int) -> Ciphertext:
         if m0 != 0 and m1 != 0:

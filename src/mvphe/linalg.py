@@ -20,9 +20,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 
-def dot_mod(a: np.ndarray, b: np.ndarray, q: int) -> int:
-    """<a, b> mod q without 64-bit overflow (products reduced before summing)."""
-    return int((a.astype(np.int64) * b.astype(np.int64) % q).sum() % q)
+def dot_mod(a: np.ndarray, b: np.ndarray, q: int):
+    """<a, b> mod q along the last axis, without 64-bit overflow (products
+    reduced before summing): an int for two vectors, one value per row for a
+    stack of rows. Operands are int64 arrays of magnitude below q."""
+    t = (a * b % q).sum(axis=-1) % q
+    return int(t) if t.ndim == 0 else t
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:

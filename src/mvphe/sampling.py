@@ -7,6 +7,7 @@ streams with ``derive(k)`` instead of sharing one stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class RandomStream:
         out = self._gen.integers(low, high, size=size)
         if size is None:
             return int(out)
-        return out.astype(np.int64)
+        return out.astype(np.int64, copy=False)
 
     def uniform_fq(self, q: int, size=None):
         return self.integers(0, q, size=size)
@@ -54,17 +55,20 @@ class RandomStream:
         return self._gen.random(size=size)
 
     def gaussian(self, std: float, size=None):
-        """Zero-mean normal draws via the Box-Muller transform."""
-        n = 1 if size is None else int(size)
+        """Zero-mean normal draws via the Box-Muller transform; ``size`` is a
+        count or a shape, filled in row-major order from one draw."""
+        if size is None:
+            n = 1
+        else:
+            n = math.prod(size) if isinstance(size, tuple) else int(size)
         pairs = (n + 1) // 2
-        u1 = 1.0 - self.unit_uniform(pairs)  # in (0, 1], keeps log finite
-        u2 = self.unit_uniform(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([radius * np.cos(_TWO_PI * u2), radius * np.sin(_TWO_PI * u2)])[:n]
-        z = z * float(std)
+        u = self.unit_uniform(2 * pairs)  # the u1 block, then the u2 block
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))  # 1 - u1 in (0, 1]: log stays finite
+        theta = _TWO_PI * u[pairs:]
+        z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n] * float(std)
         if size is None:
             return float(z[0])
-        return z
+        return z.reshape(size)
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self._spawn_key}, counter={self.counter})"
@@ -99,17 +103,24 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
-def discrete_gaussian_vector(stream: RandomStream, spec: NoiseSpec, size: int) -> np.ndarray:
-    """i.i.d. draws of round(x * q) mod q with x ~ N(0, alpha^2)."""
+def discrete_gaussian_vector(stream: RandomStream, spec: NoiseSpec, size) -> np.ndarray:
+    """i.i.d. draws of round(x * q) mod q with x ~ N(0, alpha^2); ``size`` is
+    a count or a shape."""
     raw = stream.gaussian(spec.std, size=size)
     return _round_half_up(np.asarray(raw)) % spec.q
 
 
-def sample_noise_vector(stream: RandomStream, spec: NoiseSpec, n: int) -> np.ndarray:
-    """(0, ..., 0, e_1, ..., e_support) with e_i from the rounded Gaussian."""
+def sample_noise_vector(stream: RandomStream, spec: NoiseSpec, shape) -> np.ndarray:
+    """(0, ..., 0, e_1, ..., e_support) with e_i from the rounded Gaussian.
+
+    ``shape`` is a length n, or (k, n) for k such rows; the k·support draws
+    come from one Gaussian call, row by row, so k = 1 draws what n does.
+    """
+    out = np.zeros(shape, dtype=np.int64)
+    n = out.shape[-1]
     if spec.support_len > n:
         raise ValueError(f"support_len {spec.support_len} exceeds vector length {n}")
-    out = np.zeros(n, dtype=np.int64)
     if spec.support_len:
-        out[n - spec.support_len :] = discrete_gaussian_vector(stream, spec, spec.support_len)
+        tail = out[..., n - spec.support_len :]
+        tail[...] = discrete_gaussian_vector(stream, spec, tail.shape)
     return out

@@ -43,6 +43,7 @@ MODE_MULT = "mult_depth_1"
 
 _POINT_ATTEMPTS = 64  # rejection budget: 64 candidate point sets of n points
 _TAIL_ATTEMPTS = 64
+_BENCH_BLOCK = 256  # noise_bench trials per block: one batch of 2 × 256 encryptions
 
 
 def _to_decimal(x) -> Decimal:
@@ -137,7 +138,8 @@ class SchemeParams:
 
 @dataclass
 class Ciphertext:
-    """A length-n vector over F_q plus homomorphic-operation counters."""
+    """A length-n vector over F_q plus homomorphic-operation counters; ``c``
+    may also be a k×n stack of rows that share the counters."""
 
     c: np.ndarray
     q: int
@@ -151,7 +153,7 @@ class Ciphertext:
 
     @property
     def n(self) -> int:
-        return len(self.c)
+        return self.c.shape[-1]
 
 
 @dataclass
@@ -184,6 +186,7 @@ class SecretKey:
     p: int
     sigma_s: int                # positive integer, balanced sum of s entries
     _enc_basis: Optional[np.ndarray] = dfield(default=None, repr=False)
+    _noise_spec: Optional[NoiseSpec] = dfield(default=None, repr=False)
 
     @property
     def ctx(self) -> FieldContext:
@@ -219,8 +222,10 @@ class SecretKey:
         return float(np.linalg.norm(self.ctx.balanced(self.s2)))
 
     def noise_spec(self) -> NoiseSpec:
-        """Noise lands on the tail only, the coordinates that s2 reads."""
-        return NoiseSpec(self.params.alpha_f, self.params.q, self.tail_len)
+        """Noise lands on the tail only, the coordinates that s2 reads (cached)."""
+        if self._noise_spec is None:
+            self._noise_spec = NoiseSpec(self.params.alpha_f, self.params.q, self.tail_len)
+        return self._noise_spec
 
     def enc_basis(self) -> np.ndarray:
         """B_r rows injected into the key's evaluation index (cached)."""
@@ -392,18 +397,45 @@ def eval_key(sk: SecretKey) -> EvalKey:
     return EvalKey(q=sk.params.q, n=sk.n, p_inverse=sk.ctx.inv(sk.p))
 
 
+def _as_bits(bits) -> np.ndarray:
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or not set(bits.tolist()) <= {0, 1}:
+        raise ValueError(f"plaintexts must be a sequence of bits, got {bits!r}")
+    return bits.astype(np.int64, copy=False)
+
+
+def _encrypt_rows(sk: SecretKey, bits: np.ndarray, stream: RandomStream):
+    """C = m·p + (G·Fᵀ)ᵀ + E for k bits m, one row per bit, with F = U·enc_basis.
+
+    One k×d_r draw of U, then one k×n structured noise draw E (both in row
+    order, so k = 1 draws what a single encrypt always drew). G·Fᵀ and not
+    F·Gᵀ: matmul_mod splits its right operand into limbs at large q, and Fᵀ
+    is the small one. Returns (C, F, E).
+    """
+    q = sk.params.q
+    U = stream.uniform_fq(q, size=(len(bits), sk.d_r))
+    F = matmul_mod(U, sk.enc_basis(), q)
+    E = sample_noise_vector(stream, sk.noise_spec(), (len(bits), sk.n))
+    C = matmul_mod(sk.G, F.T, q)  # n×k: one column per bit until the end
+    C += E.T
+    C += sk.p * bits
+    C %= q
+    return C.T, F, E
+
+
+def encrypt_batch(sk: SecretKey, bits, stream: RandomStream) -> np.ndarray:
+    """Encrypt k bits at once: a k×n int64 array whose row i encrypts bits[i]."""
+    return _encrypt_rows(sk, _as_bits(bits), stream)[0]
+
+
 def encrypt_traced(
     sk: SecretKey, m: int, stream: RandomStream
 ) -> Tuple[Ciphertext, np.ndarray, np.ndarray]:
     """Encrypt and also return the sampled (embedded) f and noise vector e."""
-    if m not in (0, 1):
+    if m not in (0, 1):  # a scalar test: _as_bits would cost a list round trip per bit
         raise ValueError(f"plaintext must be a bit, got {m}")
-    q = sk.params.q
-    u = stream.uniform_fq(q, size=sk.d_r)
-    f = matmul_mod(u.reshape(1, -1), sk.enc_basis(), q)[0]
-    e = sample_noise_vector(stream, sk.noise_spec(), sk.n)
-    c = (m * sk.p + matmul_mod(sk.G, f, q) + e) % q
-    return Ciphertext(c, q), f, e
+    C, F, E = _encrypt_rows(sk, np.array([m], dtype=np.int64), stream)
+    return Ciphertext(C[0], sk.params.q), F[0], E[0]
 
 
 def encrypt(sk: SecretKey, m: int, stream: RandomStream) -> Ciphertext:
@@ -416,15 +448,24 @@ def _check_key_match(sk: SecretKey, ct: Ciphertext):
                          f"(n={sk.n}, q={sk.params.q})")
 
 
-def decrypt(sk: SecretKey, ct: Ciphertext) -> int:
+def noise_measure(sk: SecretKey, ct: Ciphertext, m):
+    """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
+    message multiple m (0/1 fresh; up to the add count after additions).
+    For a stack of ciphertext rows, m and the result hold one value per row."""
     _check_key_match(sk, ct)
-    t = sk.ctx.balanced(dot_mod(sk.s, ct.c, sk.params.q))
-    return round_nearest(t, sk.sigma_s * sk.p) % 2
+    q = sk.params.q
+    return sk.ctx.balanced((dot_mod(sk.s, ct.c, q) - m * sk.sigma_s * sk.p) % q)
+
+
+def decrypt(sk: SecretKey, ct: Ciphertext):
+    """The bit of a ciphertext, or one bit per row of a stack: the balanced
+    phase <s, c>, rounded to the nearest multiple of sigma_s * p, mod 2."""
+    return round_nearest(noise_measure(sk, ct, 0), sk.sigma_s * sk.p) % 2
 
 
 def hom_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    if c1.q != c2.q or c1.n != c2.n:
-        raise ValueError("ciphertexts must share one (n, q)")
+    if c1.q != c2.q or c1.c.shape != c2.c.shape:
+        raise ValueError("ciphertexts must share one q and one shape")
     return Ciphertext(
         (c1.c + c2.c) % c1.q,
         c1.q,
@@ -434,9 +475,9 @@ def hom_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 
 
 def hom_mult(c1: Ciphertext, c2: Ciphertext, ek: EvalKey) -> Ciphertext:
-    if c1.q != c2.q or c1.n != c2.n:
-        raise ValueError("ciphertexts must share one (n, q)")
-    if c1.q != ek.q or c1.n != ek.n:
+    if c1.q != c2.q or c1.c.shape != c2.c.shape:
+        raise ValueError("ciphertexts must share one q and one shape")
+    if c1.q != ek.q or c1.c.shape[-1] != ek.n:
         raise ValueError("evaluation key does not match the ciphertexts")
     if c1.mults or c2.mults:
         raise DepthError("multiplication depth 1 already spent")
@@ -447,14 +488,6 @@ def hom_mult(c1: Ciphertext, c2: Ciphertext, ek: EvalKey) -> Ciphertext:
         adds=max(c1.adds, c2.adds),
         mults=max(c1.mults, c2.mults) + 1,
     )
-
-
-def noise_measure(sk: SecretKey, ct: Ciphertext, m: int) -> int:
-    """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
-    message multiple m (0/1 fresh; up to the add count after additions)."""
-    _check_key_match(sk, ct)
-    q = sk.params.q
-    return sk.ctx.balanced((dot_mod(sk.s, ct.c, q) - m * sk.sigma_s * sk.p) % q)
 
 
 def noise_budget(sk: SecretKey) -> NoiseBudget:
@@ -476,50 +509,113 @@ def noise_budget(sk: SecretKey) -> NoiseBudget:
     )
 
 
+class _NoiseTally:
+    """Streaming statistics of one noise_bench row, merged block by block:
+    count, mean and summed squared deviations (the pairwise update of Chan,
+    Golub and LeVeque), errors, and the largest |noise| values, as many as the
+    nearest-rank 99.9th percentile of ``trials`` values reaches down to."""
+
+    def __init__(self, trials: int):
+        self.n, self.mean, self.m2, self.errors = 0, 0.0, 0.0, 0
+        self.keep = trials - -(-999 * trials // 1000) + 1
+        self.top = np.empty(0, dtype=np.int64)
+
+    def add(self, noise: np.ndarray, errors: int):
+        x = noise.astype(np.float64)
+        k, mean = len(x), float(x.mean())
+        delta, total = mean - self.mean, self.n + k
+        self.m2 += float(((x - mean) ** 2).sum()) + delta * delta * self.n * k / total
+        self.mean += delta * k / total
+        self.n = total
+        self.errors += errors
+        top = np.concatenate([self.top, np.abs(noise)])
+        if len(top) > self.keep:
+            top = np.partition(top, len(top) - self.keep)[-self.keep :]
+        self.top = top
+
+
+def error_rate_upper95(errors: int, trials: int) -> float:
+    """One-sided 95% Clopper-Pearson upper bound on a binomial error rate:
+    the rate p at which P(Bin(trials, p) <= errors) = 0.05.
+
+    At zero errors that is 1 - 0.05^(1/trials). Otherwise Newton steps on
+    the binomial CDF, whose derivative in p is -trials·P(Bin(trials-1, p) =
+    errors), inside a bisection bracket that every step narrows.
+    """
+    n, x = trials, errors
+    if x >= n:
+        return 1.0
+    if x == 0:
+        return -math.expm1(math.log(0.05) / n)
+    i = np.arange(x + 1)
+    log_binom = np.concatenate([[0.0], np.cumsum(np.log((n - i[1:] + 1) / i[1:]))])
+    log_dbinom = math.log(n) + math.lgamma(n) - math.lgamma(x + 1) - math.lgamma(n - x)
+    lo, hi = x / n, 1.0
+    p = min(lo + 2.0 * math.sqrt(lo * (1.0 - lo) / n), (lo + hi) / 2)
+    for _ in range(200):
+        log_pmf = log_binom + i * math.log(p) + (n - i) * math.log1p(-p)
+        top = log_pmf.max()
+        f = math.exp(top) * float(np.exp(log_pmf - top).sum()) - 0.05
+        if f > 0:
+            lo = p
+        else:
+            hi = p
+        slope = math.exp(log_dbinom + x * math.log(p) + (n - 1 - x) * math.log1p(-p))
+        nxt = p + f / slope if slope > 0 else (lo + hi) / 2
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+        if abs(nxt - p) <= 1e-15 * p:
+            return nxt
+        p = nxt
+    return p
+
+
 def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
-    """Predicted vs measured noise and error rates for fresh/add/mult."""
+    """Predicted vs measured noise and error rates for fresh/add/mult.
+
+    Each row also reports max and 99.9th-percentile |noise|, the margin
+    sigma_s*p/2 - max |noise| (decryption is correct while it is positive),
+    and a one-sided 95% upper bound on its error rate. Trials run in blocks of
+    _BENCH_BLOCK: block b draws its bits and its 2k encryptions, one batch,
+    from stream.derive(b). Memory holds one block of ciphertexts whatever
+    ``trials`` is, plus one |noise| value per thousand trials for the
+    percentile.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = noise_budget(sk)
-    is_mult = sk.params.mode == MODE_MULT
-    ek = eval_key(sk) if is_mult else None
+    q = sk.params.q
+    ek = eval_key(sk) if sk.params.mode == MODE_MULT else None
+    ops = ("fresh", "add", "mult") if ek is not None else ("fresh", "add")
+    tally = {op: _NoiseTally(trials) for op in ops}
 
-    fresh, added, multed = [], [], []
-    fresh_err = add_err = mult_err = 0
-    for i in range(trials):
-        sub = stream.derive(i)
-        m1, m2 = sub.coin(), sub.coin()
-        ct1 = encrypt(sk, m1, sub.derive(0))
-        ct2 = encrypt(sk, m2, sub.derive(1))
-        fresh.append(noise_measure(sk, ct1, m1))
-        fresh_err += decrypt(sk, ct1) != m1
-        ca = hom_add(ct1, ct2)
-        added.append(noise_measure(sk, ca, m1 + m2))
-        add_err += decrypt(sk, ca) != (m1 + m2) % 2
-        if is_mult:
-            cm = hom_mult(ct1, ct2, ek)
-            multed.append(noise_measure(sk, cm, m1 * m2))
-            mult_err += decrypt(sk, cm) != m1 * m2
+    def measure(op, ct, multiple, bit):
+        tally[op].add(noise_measure(sk, ct, multiple),
+                      int(np.count_nonzero(decrypt(sk, ct) != bit)))
 
-    def _std(xs):
-        return float(np.std(np.asarray(xs, dtype=np.float64)))
+    for b, start in enumerate(range(0, trials, _BENCH_BLOCK)):
+        k = min(_BENCH_BLOCK, trials - start)
+        sub = stream.derive(b)
+        m = sub.integers(0, 2, size=2 * k)
+        C = _encrypt_rows(sk, m, sub)[0]
+        ct1, ct2, m1, m2 = Ciphertext(C[:k], q), Ciphertext(C[k:], q), m[:k], m[k:]
+        measure("fresh", ct1, m1, m1)
+        measure("add", hom_add(ct1, ct2), m1 + m2, (m1 + m2) % 2)
+        if ek is not None:
+            measure("mult", hom_mult(ct1, ct2, ek), m1 * m2, m1 * m2)
 
-    rows = {
-        "fresh": {
-            "predicted_std": budget.predicted_std_fresh,
-            "measured_std": _std(fresh),
-            "error_rate": fresh_err / trials,
-        },
-        "add": {
-            "predicted_std": budget.predicted_std_add,
-            "measured_std": _std(added),
-            "error_rate": add_err / trials,
-        },
-    }
-    if is_mult:
-        rows["mult"] = {
-            "predicted_std": budget.predicted_std_mult,
-            "measured_std": _std(multed),
-            "error_rate": mult_err / trials,
+    predicted = {"fresh": budget.predicted_std_fresh, "add": budget.predicted_std_add,
+                 "mult": budget.predicted_std_mult}
+    rows = {}
+    for op, t in tally.items():
+        max_abs = int(t.top.max())
+        rows[op] = {
+            "predicted_std": predicted[op],
+            "measured_std": math.sqrt(t.m2 / t.n),
+            "error_rate": t.errors / trials,
+            "max_abs_noise": max_abs,
+            "p999_abs_noise": int(t.top.min()),
+            "margin": sk.sigma_s * sk.p / 2 - max_abs,
+            "error_rate_upper95": error_rate_upper95(t.errors, trials),
         }
     return rows

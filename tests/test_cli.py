@@ -294,6 +294,28 @@ def test_noise_bench_json_mult(tmp_path, mult_paramfile, capsys):
     assert set(obj["rows"]) == {"fresh", "add", "mult"}
 
 
+def test_noise_bench_json_reports_tail_statistics(tmp_path, mult_paramfile, capsys):
+    key = str(tmp_path / "keym.json")
+    main(["keygen", "--params", mult_paramfile, "--seed", "5", "--out", key])
+    capsys.readouterr()
+    args = ["noise-bench", "--key", key, "--trials", "300", "--seed", "1"]
+    assert main(args + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    sk = load_key(key)
+    for op in ("fresh", "add", "mult"):
+        row = rows[op]
+        assert 0 <= row["p999_abs_noise"] <= row["max_abs_noise"] <= sk.params.q // 2
+        assert row["margin"] == sk.sigma_s * sk.p / 2 - row["max_abs_noise"]
+        assert row["error_rate"] <= row["error_rate_upper95"] <= 1
+    assert rows["fresh"]["error_rate_upper95"] == pytest.approx(1 - 0.05 ** (1 / 300))
+    assert rows["mult"]["margin"] < 0  # noisy products decrypt at chance
+    # the text table keeps its four columns
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(line.split("\t")) for line in lines] == [4, 4, 4, 4]
+    assert [line.split("\t")[0] for line in lines[1:]] == ["fresh", "add", "mult"]
+
+
 def test_game_command_smoke(capsys):
     assert main(["game", "hsm", "--adversary", "rank", "--trials", "100",
                  "--seed", "4", "--alpha-q", "0", "--n", "8", "--l", "4"]) == 0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvphe import FileFormatError, RandomStream, encrypt, eval_key
+from mvphe import Ciphertext, FileFormatError, RandomStream, encrypt, encrypt_batch, eval_key
 from mvphe.files import (
     load_ciphertext,
     load_evalkey,
@@ -82,3 +82,10 @@ def test_deleted_literal_mult_noise_key_is_refused(tmp_path, artifacts, mult_key
         with pytest.raises(FileFormatError) as exc:
             load(target)
         assert exc.value.field == "literal_mult_noise"
+
+
+def test_a_stack_of_ciphertexts_is_not_saved_as_one(tmp_path, toy_key):
+    stack = Ciphertext(encrypt_batch(toy_key, [0, 1], RandomStream(6)), toy_key.params.q)
+    with pytest.raises(ValueError, match="one ciphertext"):
+        save_ciphertext(tmp_path / "ct.json", stack, params_hash(toy_key.params))
+    assert not (tmp_path / "ct.json").exists()

@@ -3,7 +3,11 @@ import pytest
 from scipy.stats import chi2
 
 from mvphe import (
+    MODE_ADDITIVE,
+    Ciphertext,
     FieldContext,
+    SchemeParams,
+    decrypt,
     NoiseSpec,
     ProtocolViolationError,
     RandomStream,
@@ -31,8 +35,8 @@ from mvphe.adversaries import (
     RandomGuesser,
     RankMembershipAdversary,
 )
-from mvphe.games import DlweOracles, HsmOracles, IndCpaOracles, Leak
-from mvphe.presets import toy_additive_params
+from mvphe.games import SAMPLE_CAP, DlweOracles, HsmOracles, IndCpaOracles, Leak
+from mvphe.presets import toy_additive_params, toy_ideal
 
 Q = 10007
 
@@ -301,6 +305,40 @@ def test_indcpa_challenge_protocol(toy_key):
         orc2.left_right(0, 1)
 
 
+def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key):
+    # one more sample than SAMPLE_CAP: sample SAMPLE_CAP + 1 once shared the
+    # challenge's stream, so with beta = 0 the two were the same ciphertext
+    orc = IndCpaOracles(toy_key, RandomStream(134), force_beta=0, sample_cap=SAMPLE_CAP + 1)
+    Z = orc.encrypt_zeros(SAMPLE_CAP + 1)
+    ct = orc.left_right(0, 1)
+    assert Z.shape == (SAMPLE_CAP + 1, toy_key.n)
+    assert not np.any(np.all(Z == ct.c, axis=1))
+    assert len(orc.audit) == SAMPLE_CAP + 2
+    assert all(np.array_equal(a[1], z) for a, z in zip(orc.audit, Z))
+
+
+def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key):
+    orc = IndCpaOracles(toy_key, RandomStream(135), sample_cap=5)
+    Z = orc.encrypt_zeros(3)
+    assert [decrypt(toy_key, Ciphertext(z, Q)) for z in Z] == [0, 0, 0]
+    with pytest.raises(ProtocolViolationError):
+        orc.encrypt_zeros(3)
+    assert len(orc.audit) == 3
+    with pytest.raises(ValueError):
+        IndCpaOracles(toy_key, RandomStream(135)).encrypt_zeros(0)
+    one = IndCpaOracles(toy_key, RandomStream(136)).encrypt_zero()
+    assert np.array_equal(one.c, IndCpaOracles(toy_key, RandomStream(136)).encrypt_zeros(1)[0])
+
+
+def test_indcpa_rank_adversary_asks_once_for_its_samples(toy_key, monkeypatch):
+    asked = []
+    real = IndCpaOracles.encrypt_zeros
+    monkeypatch.setattr(IndCpaOracles, "encrypt_zeros",
+                        lambda self, k: asked.append(k) or real(self, k))
+    indcpa_game(toy_key.params, IndCpaRankAdversary(), RandomStream(137), sk=toy_key)
+    assert asked == [toy_key.n + 8]
+
+
 # ---------------------------------------------------------------------------
 # theorem1 adapter
 
@@ -335,6 +373,30 @@ def test_theorem1_inequality_rank_zero_noise(toy_params_noiseless):
     assert wrapped.advantage >= native.advantage / 2 - 3 * joint_ci(native, wrapped)
     # the adapter's information-theoretic ceiling is ind-cpa advantage / 2
     assert wrapped.advantage <= native.advantage / 2 + 3 * joint_ci(native, wrapped)
+
+
+@pytest.mark.parametrize("q", [Q, 2**31 - 1])
+def test_theorem1_full_advantage_at_zero_noise(q):
+    params = toy_additive_params(alpha="0")
+    if q != Q:
+        params = SchemeParams(lam=32, q=q, ell=2, r=2, n=5, alpha="0", epsilon="0.01",
+                              mode=MODE_ADDITIVE, ideal=toy_ideal(q), headroom=2)
+    adv = IndCpaRankAdversary()
+    res = theorem1_experiment(params, adv, 100, RandomStream(138))
+    native, wrapped = res["native_indcpa"], res["wrapped_hsm"]
+    assert native.wins == native.trials  # every noiseless game is won
+    assert abs(wrapped.advantage - 0.25) <= 3 * wrapped.ci_halfwidth
+
+
+def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
+    inst = scheme_instance(toy_key)
+    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=toy_key.p, leak=Leak(p=toy_key.p))
+    orc = HsmOracles(inst, RandomStream(139))
+    wrapped.run(orc, RandomStream(140))
+    samples = [a[3] for a in orc.audit if a[0] == "sample"]
+    served = [t[2] for t in wrapped.last_view.transcript if t[0] == "encrypt_zero"]
+    assert len(samples) == len(served) == toy_key.n + 8
+    assert all(np.array_equal(a, b) for a, b in zip(samples, served))
 
 
 def test_subspace_instance_validation():

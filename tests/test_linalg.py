@@ -3,6 +3,7 @@ import pytest
 
 from mvphe import (
     RandomStream,
+    dot_mod,
     in_rowspace,
     matmul_mod,
     nullspace_basis,
@@ -301,3 +302,15 @@ def test_in_rowspace_matches_two_rank_definition(q):
     zero = np.zeros((3, 4), dtype=np.int64)
     assert in_rowspace(zero, np.zeros(4, dtype=np.int64), q)
     assert not in_rowspace(zero, np.eye(4, dtype=np.int64)[2], q)
+
+
+@pytest.mark.parametrize("q", [Q, Q31])
+def test_dot_mod_reduces_the_last_axis(q):
+    rng = np.random.default_rng(21)
+    a = rng.integers(0, q, size=40)
+    B = rng.integers(0, q, size=(7, 40))
+    B[0] = q - 1  # the largest products still fit int64 before reduction
+    expect = [sum(int(x) * int(y) for x, y in zip(a, row)) % q for row in B]
+    assert dot_mod(a, B, q).tolist() == expect
+    assert [dot_mod(a, row, q) for row in B] == expect
+    assert isinstance(dot_mod(a, B[0], q), int)

@@ -73,6 +73,16 @@ def test_noise_vector_support_patterns():
         assert np.all(v[:6] == 0)
 
 
+def test_noise_rows_come_from_one_row_major_draw():
+    spec = NoiseSpec(0.2, Q, 4)
+    one = sample_noise_vector(RandomStream(20), spec, 10)
+    assert np.array_equal(sample_noise_vector(RandomStream(20), spec, (1, 10))[0], one)
+    rows = sample_noise_vector(RandomStream(20), spec, (3, 10))
+    assert rows.shape == (3, 10) and np.all(rows[:, :6] == 0)
+    flat = discrete_gaussian_vector(RandomStream(20), spec, 12)
+    assert np.array_equal(rows[:, 6:].ravel(), flat)
+
+
 def test_noise_vector_support_too_long():
     with pytest.raises(ValueError):
         sample_noise_vector(RandomStream(18), NoiseSpec(0.1, Q, 11), 10)

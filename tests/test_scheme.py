@@ -18,6 +18,7 @@ from mvphe import (
     decrypt,
     dot_mod,
     encrypt,
+    encrypt_batch,
     encrypt_traced,
     eval_key,
     evaluation_matrix,
@@ -25,6 +26,7 @@ from mvphe import (
     hom_mult,
     keygen,
     matmul_mod,
+    noise_bench,
     noise_budget,
     noise_measure,
     poly_mul,
@@ -120,6 +122,24 @@ def test_encrypt_golden_ciphertext_bytes(tmp_path):
         "3114ba9ee834f2e3d1875f707eeaca370aa3cb57b08e09f8b3cda8b7ebdfcd26")
     save_ciphertext(again, *load_ciphertext(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make_params, digest",
+    [
+        (toy_mult_params, "d06d81420f838216f6479c99a6dc94861ebb4599bfb7835270727f6924878fae"),
+        (_q31_mult_params, "623d2320a95741203e294280dc1b516ac5a4bceef053a4a7c8d95d97ec77703e"),
+    ],
+)
+def test_encrypt_golden_ciphertexts_with_live_noise(make_params, digest):
+    # pins the draw order of u and of the noise at alpha = 0.0008; the noise
+    # goes through libm (Box-Muller), so the digest holds per platform
+    sk = keygen(make_params(), RandomStream(42))
+    h = hashlib.sha256()
+    for seed in (43, 44, 45):
+        for m in (0, 1):
+            h.update(encrypt(sk, m, RandomStream(seed)).c.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_eval_key_golden_bytes(tmp_path):
@@ -270,6 +290,54 @@ def test_encrypt_formula_and_trace(toy_key):
 def test_encrypt_rejects_non_bits(toy_key):
     with pytest.raises(ValueError):
         encrypt(toy_key, 2, RandomStream(0))
+
+
+@pytest.fixture(scope="module", params=[toy_mult_params, _q31_mult_params],
+                ids=["q10007", "q2^31-1"])
+def batch_key(request):
+    return keygen(request.param(), RandomStream(7))
+
+
+def test_encrypt_is_the_one_row_batch(batch_key):
+    sk = batch_key
+    for seed in range(6):
+        for m in (0, 1):
+            row = encrypt_batch(sk, [m], RandomStream(seed))[0]
+            assert np.array_equal(encrypt(sk, m, RandomStream(seed)).c, row)
+            ct, f, e = encrypt_traced(sk, m, RandomStream(seed))
+            assert np.array_equal(ct.c, row)
+
+
+def test_every_row_of_a_batch_decrypts_to_its_bit(batch_key):
+    sk = batch_key
+    q = sk.params.q
+    bits = RandomStream(8).integers(0, 2, size=37)
+    C = encrypt_batch(sk, bits, RandomStream(9))
+    assert C.shape == (37, sk.n) and C.dtype == np.int64
+    assert np.all((0 <= C) & (C < q))
+    assert [decrypt(sk, Ciphertext(row, q)) for row in C] == bits.tolist()
+    assert len({row.tobytes() for row in C}) == 37  # every row has its own randomness
+
+
+def test_stacked_decrypt_and_noise_measure_match_rows(batch_key):
+    sk = batch_key
+    q, ek = sk.params.q, eval_key(sk)
+    bits = RandomStream(10).integers(0, 2, size=2 * 37)
+    C = encrypt_batch(sk, bits, RandomStream(11))
+    c1, c2 = Ciphertext(C[:37], q), Ciphertext(C[37:], q)
+    m1, m2 = bits[:37], bits[37:]
+    for ct, multiple in ((c1, m1), (hom_add(c1, c2), m1 + m2), (hom_mult(c1, c2, ek), m1 * m2)):
+        assert ct.n == sk.n
+        rows = [Ciphertext(row, q) for row in ct.c]
+        assert decrypt(sk, ct).tolist() == [decrypt(sk, r) for r in rows]
+        assert noise_measure(sk, ct, multiple).tolist() == [
+            noise_measure(sk, r, int(m)) for r, m in zip(rows, multiple)]
+
+
+def test_encrypt_batch_rejects_non_bits(toy_key):
+    for bad in ([0, 2], [[0, 1]], [0.5], [-1], 1):
+        with pytest.raises(ValueError):
+            encrypt_batch(toy_key, bad, RandomStream(0))
 
 
 def test_noiseless_inner_product_is_message_multiple(toy_key_noiseless):
@@ -538,3 +606,49 @@ def test_noise_budget_fields(toy_key, toy_key_noiseless):
     assert b0.k == math.inf
     assert b0.predicted_std_fresh == 0 and b0.predicted_std_add == 0
     assert b0.predicted_std_mult == 0
+
+
+def test_noise_bench_is_deterministic_per_seed_across_blocks(batch_key):
+    trials = scheme._BENCH_BLOCK + 7  # one full block and one partial block
+    first = noise_bench(batch_key, trials, RandomStream(12))
+    assert noise_bench(batch_key, trials, RandomStream(12)) == first
+    assert noise_bench(batch_key, trials, RandomStream(13)) != first
+    assert set(first) == {"fresh", "add", "mult"}
+
+
+def test_noise_bench_tail_statistics(toy_key):
+    sk = toy_key
+    trials = 600
+    rows = noise_bench(sk, trials, RandomStream(14))
+    assert set(rows) == {"fresh", "add"}
+    for row in rows.values():
+        assert 0 <= row["p999_abs_noise"] <= row["max_abs_noise"]
+        assert row["margin"] == sk.sigma_s * sk.p / 2 - row["max_abs_noise"]
+        assert row["error_rate"] == 0 and row["margin"] > 0
+        assert row["error_rate_upper95"] == pytest.approx(1 - 0.05 ** (1 / trials), rel=1e-12)
+
+
+def test_noise_tally_matches_whole_array_statistics():
+    # the block-merged tally against statistics of all values at once
+    rng = np.random.default_rng(15)
+    for trials, block in ((1, 1), (999, 256), (2500, 256), (3001, 1000)):
+        noise = rng.integers(-5000, 5000, size=trials)
+        tally = scheme._NoiseTally(trials)
+        for start in range(0, trials, block):
+            tally.add(noise[start : start + block], 0)
+        ranked = np.sort(np.abs(noise))
+        assert tally.n == trials
+        assert math.sqrt(tally.m2 / tally.n) == pytest.approx(np.std(noise), rel=1e-12)
+        assert tally.top.max() == ranked[-1]
+        assert tally.top.min() == ranked[math.ceil(0.999 * trials) - 1]  # nearest rank
+        assert len(tally.top) <= trials // 1000 + 1
+
+
+def test_error_rate_upper95_is_the_clopper_pearson_bound():
+    from scipy.stats import beta
+
+    for errors, trials in ((0, 1), (0, 1000), (1, 2), (3, 1000), (45, 100), (450, 1000),
+                           (999, 1000), (10, 100000)):
+        expect = beta.ppf(0.95, errors + 1, trials - errors)
+        assert scheme.error_rate_upper95(errors, trials) == pytest.approx(expect, rel=1e-9)
+    assert scheme.error_rate_upper95(7, 7) == 1.0
