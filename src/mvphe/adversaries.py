@@ -29,9 +29,9 @@ class RankMembershipAdversary:
         self.extra = extra_samples
 
     def run(self, oracles, stream) -> int:
-        span = [oracles.sample() for _ in range(oracles.n + self.extra)]
+        span = oracles.samples(oracles.n + self.extra)
         c = oracles.challenge()
-        return 1 if in_rowspace(np.array(span, dtype=np.int64), c, oracles.q) else 0
+        return 1 if in_rowspace(span, c, oracles.q) else 0
 
 
 class KnownSecretAdversary:
@@ -59,12 +59,8 @@ class LinearSolveAdversary:
         self.extra = extra_samples
 
     def run(self, oracles, stream) -> int:
-        rows, rhs = [], []
-        for _ in range(oracles.n + self.extra):
-            a, b = oracles.sample()
-            rows.append(a)
-            rhs.append(b)
-        s_hat = solve_linear(rows, rhs, oracles.q)
+        A, b = oracles.samples(oracles.n + self.extra)
+        s_hat = solve_linear(A, b, oracles.q)
         a, b = oracles.challenge()
         if s_hat is None:
             return stream.coin()

@@ -4,8 +4,9 @@ Monte-Carlo advantage estimation.
 
 Every game draws a hidden bit beta at initialization, serves Sample queries
 freely (up to a cap), answers exactly one Challenge, and scores the
-adversary's guess in Finalize. An adversary is any object with
-``run(oracles, stream) -> guess_bit``.
+adversary's guess in Finalize. Sample queries come in batches: ``samples(k)``
+answers k of them from one k×n draw, and ``sample()`` is its k = 1 case. An
+adversary is any object with ``run(oracles, stream) -> guess_bit``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ProtocolViolationError
 from .linalg import dot_mod, matmul_mod, rank
-from .sampling import NoiseSpec, RandomStream, sample_noise_vector
+from .sampling import NoiseSpec, RandomStream, discrete_gaussian_vector, sample_noise_vector
 from .scheme import (
     Ciphertext,
     SchemeParams,
@@ -28,6 +29,10 @@ from .scheme import (
 )
 
 SAMPLE_CAP = 4096
+
+
+class DependentBasisError(ValueError):
+    """The basis rows of a SubspaceInstance are linearly dependent."""
 
 
 @dataclass
@@ -46,7 +51,7 @@ class SubspaceInstance:
         if not (1 <= l < self.n):
             raise ValueError(f"need 1 <= dim {l} < n {self.n}")
         if rank(self.basis, self.q) != l:
-            raise ValueError("basis rows must be linearly independent")
+            raise DependentBasisError("basis rows must be linearly independent")
 
     @property
     def dim(self) -> int:
@@ -87,7 +92,10 @@ class _OracleBase:
         self.audit = []
         self.leak: Optional[Leak] = None
 
-    def _count_sample(self, k: int = 1):
+    def _count_sample(self, k: int):
+        """Count k samples against the cap, before any of them is drawn."""
+        if k < 1:
+            raise ValueError(f"need k >= 1 samples, got {k}")
         self._samples += k
         if self._samples > self._cap:
             raise ProtocolViolationError(f"sample cap {self._cap} exceeded")
@@ -108,22 +116,28 @@ class HsmOracles(_OracleBase):
         self.instance = instance
         self.n, self.q = instance.n, instance.q
 
-    def _noisy_member(self):
-        u = self._stream.uniform_fq(self.q, size=self.instance.dim)
-        v = matmul_mod(u.reshape(1, -1), self.instance.basis, self.q)[0]
-        e = sample_noise_vector(self._stream, self.instance.noise, self.n)
-        return v, e, (v + e) % self.q
+    def _noisy_members(self, k: int):
+        """Rows V + E: V = U·B from one k×dim draw U, then noise E of shape (k, n)."""
+        U = self._stream.uniform_fq(self.q, size=(k, self.instance.dim))
+        V = matmul_mod(U, self.instance.basis, self.q)
+        E = sample_noise_vector(self._stream, self.instance.noise, (k, self.n))
+        return V, E, (V + E) % self.q
+
+    def samples(self, k: int) -> np.ndarray:
+        """k Sample outputs, the rows of one k×n batch; all k count against
+        the sample cap before anything is drawn."""
+        self._count_sample(k)
+        V, E, out = self._noisy_members(k)
+        self.audit.extend(("sample", v, e, o) for v, e, o in zip(V, E, out))
+        return out
 
     def sample(self) -> np.ndarray:
-        self._count_sample()
-        v, e, out = self._noisy_member()
-        self.audit.append(("sample", v, e, out))
-        return out
+        return self.samples(1)[0]
 
     def challenge(self) -> np.ndarray:
         self._claim_challenge()
         if self.beta == 1:
-            v, e, out = self._noisy_member()
+            v, e, out = (x[0] for x in self._noisy_members(1))
         else:
             out = self._stream.uniform_fq(self.q, size=self.n)
             v, e = None, None
@@ -139,26 +153,34 @@ class DlweOracles(_OracleBase):
         self.noise = NoiseSpec(noise.alpha, q, 1)
         self.secret = stream.uniform_fq(q, size=n)
 
-    def _lwe_pair(self):
-        a = self._stream.uniform_fq(self.q, size=self.n)
-        e = int(sample_noise_vector(self._stream, self.noise, 1)[0])
-        b = (dot_mod(a, self.secret, self.q) + e) % self.q
-        return a, b
+    def _lwe_pairs(self, k: int):
+        """A from one k×n draw, then k errors e from one Gaussian draw;
+        b = A·s + e."""
+        A = self._stream.uniform_fq(self.q, size=(k, self.n))
+        e = discrete_gaussian_vector(self._stream, self.noise, k)
+        return A, (dot_mod(A, self.secret, self.q) + e) % self.q, e
+
+    def samples(self, k: int):
+        """k Sample pairs as (A, b), the rows of A with the entries of b; all
+        k count against the sample cap before anything is drawn."""
+        self._count_sample(k)
+        A, b, e = self._lwe_pairs(k)
+        self.audit.extend(("sample", a, int(bi), int(ei)) for a, bi, ei in zip(A, b, e))
+        return A, b
 
     def sample(self):
-        self._count_sample()
-        a, b = self._lwe_pair()
-        self.audit.append(("sample", a, b))
-        return a, b
+        A, b = self.samples(1)
+        return A[0], int(b[0])
 
     def challenge(self):
         self._claim_challenge()
         if self.beta == 1:
-            a, b = self._lwe_pair()
+            A, b, e = self._lwe_pairs(1)
+            a, b, e = A[0], int(b[0]), int(e[0])
         else:
             a = self._stream.uniform_fq(self.q, size=self.n)
-            b = int(self._stream.uniform_fq(self.q))
-        self.audit.append(("challenge", a, b))
+            b, e = int(self._stream.uniform_fq(self.q)), None
+        self.audit.append(("challenge", a, b, e))
         return a, b
 
 
@@ -179,8 +201,6 @@ class IndCpaOracles(_OracleBase):
     def encrypt_zeros(self, k: int) -> np.ndarray:
         """k encryptions of zero, the rows of one k×n batch; all k count
         against the sample cap before anything is drawn."""
-        if k < 1:
-            raise ValueError(f"need k >= 1 encryptions, got {k}")
         self._count_sample(k)
         C = encrypt_batch(self.sk, np.zeros(k, dtype=np.int64), self._zeros_stream)
         self.audit.extend(("encrypt_zero", row) for row in C)
@@ -235,7 +255,7 @@ def indcpa_game(params: SchemeParams, adversary, stream: RandomStream,
 
 class _HsmViewOfDlwe:
     """Presents DLWE oracles as an (n+1)-dimensional HSM instance by mapping
-    each pair (a, b) to the vector (a, -b)."""
+    each pair (a, b) to the vector (a, -b), a batch (A, b) to [A | -b]."""
 
     def __init__(self, dlwe_oracles: DlweOracles):
         self._inner = dlwe_oracles
@@ -244,17 +264,20 @@ class _HsmViewOfDlwe:
         self.leak = dlwe_oracles.leak
         self.transcript = []
 
-    def _convert(self, pair):
-        a, b = pair
-        vec = np.concatenate([a, [(-b) % self.q]]).astype(np.int64)
-        self.transcript.append((a, b, vec))
-        return vec
+    def _convert(self, A, b):
+        V = np.hstack([A, ((-b) % self.q)[:, None]])
+        self.transcript.extend(zip(A, b, V))
+        return V
+
+    def samples(self, k: int) -> np.ndarray:
+        return self._convert(*self._inner.samples(k))
 
     def sample(self):
-        return self._convert(self._inner.sample())
+        return self.samples(1)[0]
 
     def challenge(self):
-        return self._convert(self._inner.challenge())
+        a, b = self._inner.challenge()
+        return self._convert(a[None], np.array([b]))[0]
 
 
 class Lemma1Adversary:
@@ -289,8 +312,8 @@ class _IndCpaViewOfHsm:
         self.transcript = []
 
     def encrypt_zeros(self, k: int) -> np.ndarray:
-        """k Sample outputs as rows, one Sample call each (HSM draws as ever)."""
-        V = np.array([self._inner.sample() for _ in range(k)], dtype=np.int64).reshape(k, self.n)
+        """k Sample outputs as rows, from one batched Sample call."""
+        V = self._inner.samples(k)
         self.transcript.extend(("encrypt_zero", v, v) for v in V)
         return V
 
@@ -334,9 +357,10 @@ def uniform_subspace_instance(n: int, q: int, l: int, noise: NoiseSpec,
                               stream: RandomStream) -> SubspaceInstance:
     """A uniformly random l-dimensional subspace (synthetic HSM instances)."""
     for _ in range(64):
-        M = stream.uniform_fq(q, size=(l, n))
-        if rank(M, q) == l:
-            return SubspaceInstance(n=n, q=q, basis=M, noise=noise)
+        try:  # the instance's own rank check is the one elimination
+            return SubspaceInstance(n=n, q=q, basis=stream.uniform_fq(q, size=(l, n)), noise=noise)
+        except DependentBasisError:
+            pass
     raise RuntimeError("could not sample an independent basis")
 
 

@@ -2,7 +2,9 @@
 
 A RandomStream owns a PCG64 generator; identical seeds reproduce identical
 draw sequences. Parallel or repeated workloads derive independent child
-streams with ``derive(k)`` instead of sharing one stream.
+streams with ``derive(k)`` instead of sharing one stream. The generator is
+seeded at the first draw, so a stream that only derives children costs no
+seeding.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ class RandomStream:
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
         self.seed = int(seed)
         self._spawn_key = tuple(int(k) for k in _spawn_key)
+        self._gen = None  # seeded at the first draw (see _seed)
+        self.counter = 0  # number of sampling calls served
+
+    def _seed(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self.counter = 0  # number of sampling calls served
+        return self._gen
 
     def derive(self, key: int) -> "RandomStream":
         """Independent child stream; same (seed, path, key) -> same stream."""
@@ -35,7 +41,7 @@ class RandomStream:
     def integers(self, low: int, high: int, size=None):
         """Unbiased uniform integers in [low, high)."""
         self.counter += 1
-        out = self._gen.integers(low, high, size=size)
+        out = (self._gen or self._seed()).integers(low, high, size=size)
         if size is None:
             return int(out)
         return out.astype(np.int64, copy=False)
@@ -52,7 +58,7 @@ class RandomStream:
 
     def unit_uniform(self, size=None):
         self.counter += 1
-        return self._gen.random(size=size)
+        return (self._gen or self._seed()).random(size=size)
 
     def gaussian(self, std: float, size=None):
         """Zero-mean normal draws via the Box-Muller transform; ``size`` is a

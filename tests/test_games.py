@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -35,7 +37,9 @@ from mvphe.adversaries import (
     RandomGuesser,
     RankMembershipAdversary,
 )
+from mvphe import games
 from mvphe.games import SAMPLE_CAP, DlweOracles, HsmOracles, IndCpaOracles, Leak
+from mvphe.linalg import in_rowspace
 from mvphe.presets import toy_additive_params, toy_ideal
 
 Q = 10007
@@ -186,6 +190,30 @@ def test_hsm_oracle_fidelity_beta0_uniform():
     assert stat < chi2.ppf(1 - 1e-6, df=16)
 
 
+def _digest(values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "beta, digest",
+    [
+        (1, "0d4a9a8f9a583c1c5f86510d819f69faa47a873c451289a599474580cfd9ef15"),
+        (0, "5f09f668c276df56c7f0277e22f3817b658ed7bf4e1432786799495db42d2c47"),
+    ],
+)
+def test_hsm_oracle_golden_draws(beta, digest):
+    # five Sample calls, then Challenge, at live noise (alpha q = 8): pins the
+    # draw order of the one-sample path; the noise goes through libm
+    # (Box-Muller), so the digest holds per platform
+    inst = _small_instance(RandomStream(141), alpha=8.0 / Q, n=12, l=6)
+    orc = HsmOracles(inst, RandomStream(142), force_beta=beta)
+    outs = [orc.sample() for _ in range(5)] + [orc.challenge()]
+    assert _digest(outs) == digest
+
+
 # ---------------------------------------------------------------------------
 # DLWE game
 
@@ -214,6 +242,22 @@ def test_dlwe_rank_adversary_blind_under_noise():
 
     est = estimate_advantage(game_fn, wrapped, 1000, RandomStream(120))
     assert est.advantage <= est.ci_halfwidth
+
+
+@pytest.mark.parametrize(
+    "beta, digest",
+    [
+        (1, "ca7c647424af4fc4c93caad242019d64fc83eb9c1f34d85e889d6c91272dedb4"),
+        (0, "3ca35928015e2b61bd88bcb562017b6aac94c32118629a0fd327551fdeb5dd63"),
+    ],
+)
+def test_dlwe_oracle_golden_draws(beta, digest):
+    # the secret, five Sample pairs, then Challenge, at alpha q = 8
+    orc = DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(143), force_beta=beta)
+    outs = [orc.secret]
+    for a, b in [orc.sample() for _ in range(5)] + [orc.challenge()]:
+        outs += [a, b]
+    assert _digest(outs) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +455,93 @@ def test_subspace_instance_validation():
             n=2, q=Q, basis=np.eye(2, dtype=np.int64),
             noise=NoiseSpec(0.0, Q, 1),
         )
+
+
+def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
+    calls = []
+    real = games.rank
+    monkeypatch.setattr(games, "rank", lambda M, q: calls.append(M.shape) or real(M, q))
+    inst = _small_instance(RandomStream(144))
+    assert calls == [(6, 12)] and inst.dim == 6
+    with pytest.raises(ValueError):  # a shape error is not retried as a dependent draw
+        uniform_subspace_instance(4, Q, 4, NoiseSpec(0.0, Q, 1), RandomStream(144))
+
+
+# ---------------------------------------------------------------------------
+# batched Sample queries
+
+def _counting(monkeypatch, cls):
+    asked = []
+    real = cls.samples
+    monkeypatch.setattr(cls, "samples", lambda self, k: asked.append(k) or real(self, k))
+    return asked
+
+
+@pytest.mark.parametrize("make", [
+    lambda cap: HsmOracles(_small_instance(RandomStream(145)), RandomStream(146), sample_cap=cap),
+    lambda cap: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(146), sample_cap=cap),
+])
+def test_samples_count_against_the_cap_before_drawing(make):
+    orc = make(5)
+    orc.samples(3)
+    drawn = orc._stream.counter
+    with pytest.raises(ProtocolViolationError):
+        orc.samples(3)
+    assert orc._stream.counter == drawn and len(orc.audit) == 3
+    with pytest.raises(ValueError):
+        make(5).samples(0)
+
+
+def test_hsm_samples_audit_members_plus_head_free_noise():
+    inst = _small_instance(RandomStream(147), alpha=8.0 / Q, n=12, l=6)
+    orc = HsmOracles(inst, RandomStream(148))
+    out = orc.samples(9)
+    assert out.shape == (9, 12) and len(orc.audit) == 9
+    head = inst.n - inst.noise.support_len
+    for row, (kind, v, e, recorded) in zip(out, orc.audit):
+        assert kind == "sample" and np.array_equal(recorded, row)
+        assert np.array_equal(row, (v + e) % Q)
+        assert in_rowspace(inst.basis, v, Q)
+        assert np.all(e[:head] == 0) and np.any(e[head:])
+
+
+def test_dlwe_samples_audit_the_errors():
+    orc = DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
+    A, b = orc.samples(11)
+    assert A.shape == (11, 8) and b.shape == (11,) and len(orc.audit) == 11
+    errors = [e for _, _, _, e in orc.audit]
+    assert np.array_equal((b - A @ orc.secret) % Q, errors)
+    assert all(np.array_equal(a, row) and bi == b_i
+               for (_, a, bi, _), row, b_i in zip(orc.audit, A, b))
+
+
+def test_rank_and_linear_adversaries_ask_once_for_their_samples(monkeypatch):
+    hsm_asked = _counting(monkeypatch, HsmOracles)
+    dlwe_asked = _counting(monkeypatch, DlweOracles)
+    inst = _small_instance(RandomStream(151))
+    hsm_game(inst, RankMembershipAdversary(), RandomStream(152))
+    noise = NoiseSpec(0.0, Q, 1)
+    dlwe_game(8, Q, noise, LinearSolveAdversary(), RandomStream(153))
+    dlwe_game(8, Q, noise, lemma1_adapter(RankMembershipAdversary()), RandomStream(154))
+    assert hsm_asked == [12 + 8]
+    assert dlwe_asked == [8 + 8, 9 + 8]
+
+
+def test_theorem1_view_asks_once_for_encrypt_zeros(toy_key, monkeypatch):
+    asked = _counting(monkeypatch, HsmOracles)
+    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=toy_key.p, leak=Leak(p=toy_key.p))
+    hsm_game(scheme_instance(toy_key), wrapped, RandomStream(155))
+    assert asked == [toy_key.n + 8]
+
+
+def test_rank_games_are_won_every_time_at_zero_noise(toy_params_noiseless):
+    res = lemma1_experiment(8, Q, NoiseSpec(0.0, Q, 1), RankMembershipAdversary(), 100,
+                            RandomStream(156))
+    assert all(e.wins == e.trials for e in res.values())
+    sk = keygen(toy_params_noiseless, RandomStream(157))
+    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=sk.p, leak=Leak(p=sk.p))
+
+    def game_fn(adv, sub):  # beta = 1: the simulation is the real IND-CPA game
+        return hsm_game(scheme_instance(sk), adv, sub, force_beta=1)
+
+    assert estimate_advantage(game_fn, wrapped, 100, RandomStream(158)).wins == 100

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -101,3 +103,34 @@ def test_counter_advances():
     s.uniform_fq(Q)
     s.gaussian(1.0, size=4)
     assert s.counter > c0
+
+
+def _first_draws(stream) -> str:
+    h = hashlib.sha256()
+    h.update(stream.uniform_fq(Q, size=8).astype("<i8").tobytes())
+    h.update(stream.ternary(5).astype("<i8").tobytes())
+    h.update(np.int64(stream.coin()).tobytes())
+    h.update(stream.unit_uniform(3).astype("<f8").tobytes())
+    h.update(stream.gaussian(2.0, size=(2, 3)).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_stream_golden_first_draws():
+    # pins the draws of a root stream, of a derived child, and of streams
+    # that derived children before drawing (parent first, then the children
+    # in reverse order); Box-Muller goes through libm, so per platform
+    assert _first_draws(RandomStream(7)) == (
+        "d581a5cefd1b6f661625db7f4a8d89a8a28482bfc5d11acecced20ea2ba7184e")
+    assert _first_draws(RandomStream(7).derive(3)) == (
+        "b4059f2d700447f76df43de2812cd802dd042fdfc3add3faf03b5d31e4e2bca1")
+    parent = RandomStream(7)
+    child = parent.derive(3)
+    grandchild = child.derive(1)
+    assert parent._gen is None and child._gen is None  # deriving seeds nothing
+    assert _first_draws(parent) == (
+        "d581a5cefd1b6f661625db7f4a8d89a8a28482bfc5d11acecced20ea2ba7184e")
+    assert _first_draws(grandchild) == (
+        "c1cb411ab4a1cd6bc551584d2b8bc442f75af671b844344a677ebc39c4b98a23")
+    assert _first_draws(child) == (
+        "b4059f2d700447f76df43de2812cd802dd042fdfc3add3faf03b5d31e4e2bca1")
+    assert grandchild.seed == 7 and grandchild.counter == 5
