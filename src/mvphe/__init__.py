@@ -59,17 +59,17 @@ from .scheme import (
 from .games import (
     AdvantageEstimate,
     Leak,
+    Lemma1Adversary,
     SubspaceInstance,
+    Theorem1Adversary,
     dlwe_game,
     estimate_advantage,
     hsm_game,
     indcpa_game,
     joint_ci,
-    lemma1_adapter,
     lemma1_experiment,
     lwe_subspace_instance,
     scheme_instance,
-    theorem1_adapter,
     theorem1_experiment,
     uniform_subspace_instance,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import adversaries, files, games
@@ -20,6 +21,7 @@ from .errors import (
     ProtocolViolationError,
     UnsupportedOperationError,
 )
+from .field import FieldContext
 from .linalg import nullspace_basis
 from .mvpoly import ideal_truncated_basis, monomial_count
 from .presets import toy_additive_params
@@ -136,132 +138,107 @@ def _cmd_noise_bench(args) -> int:
     return EXIT_OK
 
 
-def _estimate_row(name, adversary, est):
-    return (
-        name, adversary, est.trials, est.wins,
-        f"{est.win_rate:.4f}", f"{est.advantage:.4f}", f"{est.ci_halfwidth:.4f}",
-    )
+# `mvphe game` adversaries: a factory per name, per game or reduction. Lemma 1
+# hides the secret, so its table has no known-secret "oracle".
+_ADVERSARIES = {
+    "hsm": {
+        "random": adversaries.RandomGuesser,
+        "rank": adversaries.RankMembershipAdversary,
+        "oracle": adversaries.KnownSecretAdversary,
+    },
+    "dlwe": {
+        "random": adversaries.RandomGuesser,
+        "rank": lambda: games.Lemma1Adversary(adversaries.RankMembershipAdversary()),
+        "oracle": adversaries.LinearSolveAdversary,
+    },
+    "indcpa": {
+        "random": adversaries.RandomGuesser,
+        "rank": adversaries.IndCpaRankAdversary,
+        "oracle": adversaries.KeyLeakAdversary,
+    },
+    "lemma1": {
+        "random": adversaries.RandomGuesser,
+        "rank": adversaries.RankMembershipAdversary,
+    },
+}
+_ADVERSARIES["theorem1"] = _ADVERSARIES["indcpa"]
 
-
-def _estimate_json(est):
-    return {
-        "trials": est.trials, "wins": est.wins, "win_rate": est.win_rate,
-        "advantage": est.advantage, "ci_halfwidth": est.ci_halfwidth,
-    }
+# table row names of the reduction experiments' estimates; a plain game's row
+# is the game's name
+_ROW_NAMES = {
+    "native_hsm": "hsm[(s,1)-perp]", "wrapped_dlwe": "dlwe[wrapped]",
+    "native_indcpa": "indcpa", "wrapped_hsm": "hsm[scheme]",
+}
 
 
 def _cmd_game(args) -> int:
     seed = _resolve_seed(args.seed, None)
     stream = RandomStream(seed)
-    q = args.q
-    alpha = args.alpha_q / q
-    header = ("game", "adversary", "trials", "wins", "win_rate", "advantage", "ci95")
+
+    if args.reduction == "lemma1" and args.game not in ("hsm", "dlwe"):
+        print("--reduction lemma1 applies to the hsm/dlwe games", file=sys.stderr)
+        return EXIT_USAGE
+    if args.reduction == "theorem1" and args.game != "indcpa":
+        print("--reduction theorem1 applies to the indcpa game", file=sys.stderr)
+        return EXIT_USAGE
+    factory = _ADVERSARIES[args.reduction or args.game].get(args.adversary)
+    if factory is None:
+        print("the known-secret adversary cannot be wrapped (needs the hidden s)",
+              file=sys.stderr)
+        return EXIT_USAGE
+    adv = factory()
 
     if args.reduction == "lemma1":
-        if args.game not in ("hsm", "dlwe"):
-            print("--reduction lemma1 applies to the hsm/dlwe games", file=sys.stderr)
-            return EXIT_USAGE
-        if args.adversary == "random":
-            adv = adversaries.RandomGuesser()
-        elif args.adversary == "rank":
-            adv = adversaries.RankMembershipAdversary()
-        else:
-            print("the known-secret adversary cannot be wrapped (needs the hidden s)",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        res = games.lemma1_experiment(
-            args.n, q, NoiseSpec(alpha, q, 1), adv, args.trials, stream
-        )
-        rows = [
-            _estimate_row("hsm[(s,1)-perp]", args.adversary, res["native_hsm"]),
-            _estimate_row("dlwe[wrapped]", args.adversary, res["wrapped_dlwe"]),
-        ]
-        _print_table(header, rows, args.json, {
-            "seed": seed,
-            "native_hsm": _estimate_json(res["native_hsm"]),
-            "wrapped_dlwe": _estimate_json(res["wrapped_dlwe"]),
-        })
-        return EXIT_OK
+        noise = _game_noise(args, 1)
+        res = games.lemma1_experiment(args.n, noise.q, noise, adv, args.trials, stream)
+    elif args.reduction == "theorem1":
+        res = games.theorem1_experiment(_game_params(args), adv, args.trials, stream)
+    else:
+        game_fn = _game_fn(args)
+        res = {args.game: games.estimate_advantage(game_fn, adv, args.trials, stream)}
+    rows = [(_ROW_NAMES.get(key, key), args.adversary, est.trials, est.wins,
+             f"{est.win_rate:.4f}", f"{est.advantage:.4f}", f"{est.ci_halfwidth:.4f}")
+            for key, est in res.items()]
+    estimates = {key: {**asdict(est), "win_rate": est.win_rate} for key, est in res.items()}
+    _print_table(
+        ("game", "adversary", "trials", "wins", "win_rate", "advantage", "ci95"),
+        rows, args.json, {"seed": seed, **estimates},
+    )
+    return EXIT_OK
 
-    if args.reduction == "theorem1":
-        if args.game != "indcpa":
-            print("--reduction theorem1 applies to the indcpa game", file=sys.stderr)
-            return EXIT_USAGE
-        params = _game_params(args)
-        adv = _indcpa_adversary(args.adversary)
-        res = games.theorem1_experiment(params, adv, args.trials, stream)
-        rows = [
-            _estimate_row("indcpa", args.adversary, res["native_indcpa"]),
-            _estimate_row("hsm[scheme]", args.adversary, res["wrapped_hsm"]),
-        ]
-        _print_table(header, rows, args.json, {
-            "seed": seed,
-            "native_indcpa": _estimate_json(res["native_indcpa"]),
-            "wrapped_hsm": _estimate_json(res["wrapped_hsm"]),
-        })
-        return EXIT_OK
 
+def _game_noise(args, support_len):
+    """Noise of std --alpha-q on Z_q, q = --q. Only the hsm and dlwe games and
+    Lemma 1 read --q (indcpa's q is the scheme's), so it is checked here."""
+    q = FieldContext(args.q).q
+    return NoiseSpec(args.alpha_q / q, q, support_len)
+
+
+def _game_fn(args):
+    """One trial of the plain (unreduced) game: game_fn(adversary, stream)."""
     if args.game == "hsm":
-        noise = NoiseSpec(alpha, q, max(args.n - args.l, 0))
+        noise = _game_noise(args, max(args.n - args.l, 0))
+        q = noise.q
 
         def game_fn(adv, sub):
             inst = games.uniform_subspace_instance(args.n, q, args.l, noise, sub.derive(0))
             leak = None
             if isinstance(adv, adversaries.KnownSecretAdversary):
-                s = nullspace_basis(inst.basis, q)[0]
-                leak = games.Leak(s=s, threshold=q // 4)
+                leak = games.Leak(s=nullspace_basis(inst.basis, q)[0])
             return games.hsm_game(inst, adv, sub.derive(1), leak=leak)
 
-        adv = _hsm_adversary(args.adversary)
-    elif args.game == "dlwe":
-        noise = NoiseSpec(alpha, q, 1)
-
-        def game_fn(adv, sub):
-            return games.dlwe_game(args.n, q, noise, adv, sub)
-
-        adv = _dlwe_adversary(args.adversary)
-    else:
-        params = _game_params(args)
-
-        def game_fn(adv, sub):
-            return games.indcpa_game(params, adv, sub)
-
-        adv = _indcpa_adversary(args.adversary)
-
-    est = games.estimate_advantage(game_fn, adv, args.trials, stream)
-    _print_table(header, [_estimate_row(args.game, args.adversary, est)],
-                 args.json, {"seed": seed, args.game: _estimate_json(est)})
-    return EXIT_OK
+        return game_fn
+    if args.game == "dlwe":
+        noise = _game_noise(args, 1)
+        return lambda adv, sub: games.dlwe_game(args.n, noise.q, noise, adv, sub)
+    params = _game_params(args)
+    return lambda adv, sub: games.indcpa_game(params, adv, sub)
 
 
 def _game_params(args):
     if args.params:
         return files.load_params(args.params)[0]
     return toy_additive_params()
-
-
-def _hsm_adversary(name):
-    return {
-        "random": adversaries.RandomGuesser,
-        "rank": adversaries.RankMembershipAdversary,
-        "oracle": adversaries.KnownSecretAdversary,
-    }[name]()
-
-
-def _dlwe_adversary(name):
-    if name == "random":
-        return adversaries.RandomGuesser()
-    if name == "rank":
-        return games.lemma1_adapter(adversaries.RankMembershipAdversary())
-    return adversaries.LinearSolveAdversary()
-
-
-def _indcpa_adversary(name):
-    if name == "random":
-        return adversaries.RandomGuesser()
-    if name == "rank":
-        return adversaries.IndCpaRankAdversary()
-    return adversaries.KeyLeakAdversary()
 
 
 def _cmd_check_params(args) -> int:
@@ -328,13 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="run a security game or reduction experiment")
     p.add_argument("game", choices=("hsm", "dlwe", "indcpa"))
-    p.add_argument("--adversary", choices=("random", "rank", "oracle"), default="random")
+    p.add_argument("--adversary", choices=("random", "rank", "oracle"), default="random",
+                   help="oracle is the known-secret adversary for hsm, linear-solve "
+                        "for dlwe and key-leak for indcpa")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--reduction", choices=("lemma1", "theorem1"))
     p.add_argument("--params", help="parameter file for scheme-based games")
     p.add_argument("--n", type=int, default=12, help="synthetic instance dimension")
     p.add_argument("--l", type=int, default=6, help="synthetic subspace dimension")
-    p.add_argument("--q", type=int, default=10007)
+    p.add_argument("--q", type=int, default=10007,
+                   help="prime modulus below 2^31 of the hsm and dlwe games and "
+                        "lemma1; indcpa takes q from --params")
     p.add_argument("--alpha-q", type=float, default=8.0, help="noise std alpha*q")
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")

@@ -77,18 +77,25 @@ class Leak:
     p: Optional[int] = None
     sk: Optional[SecretKey] = None
     s: Optional[np.ndarray] = None
-    threshold: Optional[int] = None
+
+
+def _check_challenge_messages(m0: int, m1: int):
+    """IND-CPA challenge messages are bits, and at least one of them is 0."""
+    if m0 not in (0, 1) or m1 not in (0, 1):
+        raise ValueError("challenge messages must be bits")
+    if m0 != 0 and m1 != 0:
+        raise ProtocolViolationError("one challenge message must be 0")
 
 
 class _OracleBase:
-    """Hidden beta, one challenge, bounded samples, audit transcript."""
+    """Hidden beta, one challenge, at most SAMPLE_CAP samples, audit
+    transcript."""
 
-    def __init__(self, stream: RandomStream, force_beta=None, sample_cap=SAMPLE_CAP):
+    def __init__(self, stream: RandomStream, force_beta=None):
         self._stream = stream
         self.beta = int(force_beta) if force_beta is not None else stream.coin()
         self._challenged = False
         self._samples = 0
-        self._cap = sample_cap
         self.audit = []
         self.leak: Optional[Leak] = None
 
@@ -97,8 +104,8 @@ class _OracleBase:
         if k < 1:
             raise ValueError(f"need k >= 1 samples, got {k}")
         self._samples += k
-        if self._samples > self._cap:
-            raise ProtocolViolationError(f"sample cap {self._cap} exceeded")
+        if self._samples > SAMPLE_CAP:
+            raise ProtocolViolationError(f"sample cap {SAMPLE_CAP} exceeded")
 
     def _claim_challenge(self):
         if self._challenged:
@@ -110,9 +117,8 @@ class _OracleBase:
 
 
 class HsmOracles(_OracleBase):
-    def __init__(self, instance: SubspaceInstance, stream, force_beta=None,
-                 sample_cap=SAMPLE_CAP):
-        super().__init__(stream, force_beta, sample_cap)
+    def __init__(self, instance: SubspaceInstance, stream, force_beta=None):
+        super().__init__(stream, force_beta)
         self.instance = instance
         self.n, self.q = instance.n, instance.q
 
@@ -146,9 +152,8 @@ class HsmOracles(_OracleBase):
 
 
 class DlweOracles(_OracleBase):
-    def __init__(self, n: int, q: int, noise: NoiseSpec, stream, force_beta=None,
-                 sample_cap=SAMPLE_CAP):
-        super().__init__(stream, force_beta, sample_cap)
+    def __init__(self, n: int, q: int, noise: NoiseSpec, stream, force_beta=None):
+        super().__init__(stream, force_beta)
         self.n, self.q = n, q
         self.noise = NoiseSpec(noise.alpha, q, 1)
         self.secret = stream.uniform_fq(q, size=n)
@@ -191,8 +196,8 @@ class IndCpaOracles(_OracleBase):
     child 1, so no sample shares randomness with the challenge.
     """
 
-    def __init__(self, sk: SecretKey, stream, force_beta=None, sample_cap=SAMPLE_CAP):
-        super().__init__(stream, force_beta, sample_cap)
+    def __init__(self, sk: SecretKey, stream, force_beta=None):
+        super().__init__(stream, force_beta)
         self.sk = sk
         self.n, self.q = sk.n, sk.params.q
         self.leak = Leak(p=sk.p, sk=sk, s=sk.s)
@@ -211,11 +216,8 @@ class IndCpaOracles(_OracleBase):
         return Ciphertext(self.encrypt_zeros(1)[0], self.q)
 
     def left_right(self, m0: int, m1: int) -> Ciphertext:
+        _check_challenge_messages(m0, m1)
         self._claim_challenge()
-        if m0 not in (0, 1) or m1 not in (0, 1):
-            raise ValueError("challenge messages must be bits")
-        if m0 != 0 and m1 != 0:
-            raise ProtocolViolationError("one challenge message must be 0")
         m = (m0, m1)[self.beta]
         ct = encrypt(self.sk, m, self._stream.derive(1))
         self.audit.append(("left_right", m0, m1, ct.c))
@@ -226,26 +228,24 @@ class IndCpaOracles(_OracleBase):
 # games
 
 def hsm_game(instance: SubspaceInstance, adversary, stream: RandomStream,
-             force_beta=None, leak: Optional[Leak] = None) -> bool:
-    oracles = HsmOracles(instance, stream.derive(0), force_beta)
+             leak: Optional[Leak] = None) -> bool:
+    oracles = HsmOracles(instance, stream.derive(0))
     oracles.leak = leak
     guess = adversary.run(oracles, stream.derive(1))
     return oracles.finalize(guess)
 
 
-def dlwe_game(n: int, q: int, noise: NoiseSpec, adversary, stream: RandomStream,
-              force_beta=None, leak: Optional[Leak] = None) -> bool:
-    oracles = DlweOracles(n, q, noise, stream.derive(0), force_beta)
-    oracles.leak = leak
+def dlwe_game(n: int, q: int, noise: NoiseSpec, adversary, stream: RandomStream) -> bool:
+    oracles = DlweOracles(n, q, noise, stream.derive(0))
     guess = adversary.run(oracles, stream.derive(1))
     return oracles.finalize(guess)
 
 
 def indcpa_game(params: SchemeParams, adversary, stream: RandomStream,
-                force_beta=None, sk: Optional[SecretKey] = None) -> bool:
+                sk: Optional[SecretKey] = None) -> bool:
     if sk is None:
         sk = keygen(params, stream.derive(0))
-    oracles = IndCpaOracles(sk, stream.derive(1), force_beta)
+    oracles = IndCpaOracles(sk, stream.derive(1))
     guess = adversary.run(oracles, stream.derive(2))
     return oracles.finalize(guess)
 
@@ -293,10 +293,6 @@ class Lemma1Adversary:
         return self.inner.run(view, stream)
 
 
-def lemma1_adapter(hsm_adversary) -> Lemma1Adversary:
-    return Lemma1Adversary(hsm_adversary)
-
-
 class _IndCpaViewOfHsm:
     """Simulates the IND-CPA oracles on top of an HSM instance: encryptions of
     zero come from Sample, and the left-right reply is Challenge plus the
@@ -318,8 +314,7 @@ class _IndCpaViewOfHsm:
         return V
 
     def left_right(self, m0: int, m1: int) -> Ciphertext:
-        if m0 != 0 and m1 != 0:
-            raise ProtocolViolationError("one challenge message must be 0")
+        _check_challenge_messages(m0, m1)
         v = self._inner.challenge()
         m = (m0, m1)[self.gamma]
         c = (v + self.p * m) % self.q
@@ -344,10 +339,6 @@ class Theorem1Adversary:
         self.last_view = view
         guess = self.inner.run(view, stream.derive(0))
         return 1 if guess == gamma else 0
-
-
-def theorem1_adapter(indcpa_adversary, p: int, leak: Optional[Leak] = None) -> Theorem1Adversary:
-    return Theorem1Adversary(indcpa_adversary, p, leak)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +407,7 @@ def lemma1_experiment(n: int, q: int, noise: NoiseSpec, hsm_adversary,
         inst = lwe_subspace_instance(s, q, noise)
         return hsm_game(inst, adv, sub.derive(1))
 
-    wrapped = lemma1_adapter(hsm_adversary)
+    wrapped = Lemma1Adversary(hsm_adversary)
 
     def dlwe_game_fn(adv, sub):
         return dlwe_game(n, q, noise, adv, sub)
@@ -437,7 +428,7 @@ def theorem1_experiment(params: SchemeParams, indcpa_adversary, trials: int,
     def wrapped_game(adv, sub):
         sk = keygen(params, sub.derive(0))
         inst = scheme_instance(sk)
-        wrapped = theorem1_adapter(adv, p=sk.p, leak=Leak(p=sk.p, sk=sk, s=sk.s))
+        wrapped = Theorem1Adversary(adv, sk.p, Leak(p=sk.p, sk=sk, s=sk.s))
         return hsm_game(inst, wrapped, sub.derive(1))
 
     native = estimate_advantage(native_game, indcpa_adversary, trials, stream.derive(0))

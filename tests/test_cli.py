@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -333,8 +334,109 @@ def test_game_reduction_json(capsys):
     assert "native_hsm" in obj and "wrapped_dlwe" in obj
 
 
+@pytest.mark.parametrize("q, why", [
+    (4294967311, "[2, 2^31)"),  # prime, but int64 products would overflow
+    (10000, "prime"),
+])
+@pytest.mark.parametrize("game", [
+    ["dlwe", "--adversary", "oracle"],
+    ["hsm", "--adversary", "oracle"],
+    ["dlwe", "--adversary", "rank", "--reduction", "lemma1"],
+])
+def test_game_refuses_bad_q_naming_it(game, q, why, capsys):
+    assert main(["game", *game, "--alpha-q", "0",
+                 "--trials", "100", "--seed", "1", "--q", str(q)]) == 3
+    err = capsys.readouterr().err
+    assert "q must be" in err and why in err and str(q) in err
+
+
+@pytest.mark.parametrize("reduction", [[], ["--reduction", "theorem1"]])
+def test_indcpa_game_ignores_q(reduction, capsys):
+    # indcpa's modulus is the scheme's, so --q neither is checked nor changes a draw
+    argv = ["game", "indcpa", "--adversary", "rank", *reduction, "--trials", "100",
+            "--seed", "2", "--json"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--q", "10000"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_game_reduction_usage_errors(capsys):
     assert main(["game", "indcpa", "--reduction", "lemma1", "--trials", "100"]) == 2
     assert main(["game", "hsm", "--reduction", "theorem1", "--trials", "100"]) == 2
     assert main(["game", "hsm", "--adversary", "oracle", "--reduction", "lemma1",
                  "--trials", "100"]) == 2
+
+
+# Exit code and sha256 of stdout for every `mvphe game` game/adversary/reduction
+# combination at --trials 100 --seed 9, text and --json; usage errors (exit 2)
+# print nothing to stdout. Recorded before the adversary table replaced the
+# per-game if-chains; same-seed output must not move.
+_GAME_GOLDEN = {
+    ("hsm", "random", None, False): (0, "78fd1b02bd3cd38409c20e6f673f31329af2b860a50f27cfe08115dffd3ed099"),
+    ("hsm", "random", None, True): (0, "5c58a7580373cc2b04d6a236a148ce9738e5f2e77f3982cbbe21a37abeecec58"),
+    ("hsm", "random", 'lemma1', False): (0, "eb90532eb7bbba60f9c0a39ffe5e7be629fb9987408e16b269ac5a9d4d631b85"),
+    ("hsm", "random", 'lemma1', True): (0, "f52f5750336f425a2f8d7dee03880ee0f4a3ce0a6d667335752a6850c02b039c"),
+    ("hsm", "random", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "random", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "rank", None, False): (0, "7de5a06f02006f0d4319213d2dd8a0d86ae14e21464d289f7bab0bfb660dbb64"),
+    ("hsm", "rank", None, True): (0, "2f1d095499d5058b5bcee0edbcf741e0df3559e3f4d553f65565cf3007f85639"),
+    ("hsm", "rank", 'lemma1', False): (0, "d441912b0213a70870ea7684bdff0ac3b48cdd8c9aba7a96cd6acffc71473727"),
+    ("hsm", "rank", 'lemma1', True): (0, "1abbf09e374df4d78cd214b506dfa59200921308f63b14ead0df410e7294b5c1"),
+    ("hsm", "rank", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "rank", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "oracle", None, False): (0, "c4a92abc168cc0b3ac6b4e4b73ff30fcdb4565d97405f18c8a1f29259cb6ee0f"),
+    ("hsm", "oracle", None, True): (0, "2d01e4bc51bd921d9d6c456f576ba1f63c2635a92f78b8ff1e8d53e6ecc3155a"),
+    ("hsm", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "oracle", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hsm", "oracle", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "random", None, False): (0, "3f7603df4141f2be618326ee836e93f765ecad83a36d1fd51397620b3e655927"),
+    ("dlwe", "random", None, True): (0, "23f930a3d375449a30a10083f34105b9cf0ea8e832ee829790fdc730a2305040"),
+    ("dlwe", "random", 'lemma1', False): (0, "eb90532eb7bbba60f9c0a39ffe5e7be629fb9987408e16b269ac5a9d4d631b85"),
+    ("dlwe", "random", 'lemma1', True): (0, "f52f5750336f425a2f8d7dee03880ee0f4a3ce0a6d667335752a6850c02b039c"),
+    ("dlwe", "random", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "random", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "rank", None, False): (0, "11b5d6832c48e3923a6615c75e635f97534fd4913ccb7f57366e3c88f7b10f52"),
+    ("dlwe", "rank", None, True): (0, "5a5674bcd6acd80156c3bb0359304b08694db5a592efc3265e466bf43b18cbc3"),
+    ("dlwe", "rank", 'lemma1', False): (0, "d441912b0213a70870ea7684bdff0ac3b48cdd8c9aba7a96cd6acffc71473727"),
+    ("dlwe", "rank", 'lemma1', True): (0, "1abbf09e374df4d78cd214b506dfa59200921308f63b14ead0df410e7294b5c1"),
+    ("dlwe", "rank", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "rank", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "oracle", None, False): (0, "6b2b07368d5560a729438abdde7512b017976a57d1df34a4ffe9b7af959e6957"),
+    ("dlwe", "oracle", None, True): (0, "23f930a3d375449a30a10083f34105b9cf0ea8e832ee829790fdc730a2305040"),
+    ("dlwe", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "oracle", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "oracle", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "random", None, False): (0, "13ae1c9858f7ed89d246b9e19175c495e9dbcb04d1ef3a25448123bc635198e1"),
+    ("indcpa", "random", None, True): (0, "14f5771dea1499a55ea382226ddb902095c3129133775493757d6932b15abc03"),
+    ("indcpa", "random", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "random", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "random", 'theorem1', False): (0, "194f1958a136c909469729da064e578e0adbaeb1f321f5f3eacf665e80fe6a65"),
+    ("indcpa", "random", 'theorem1', True): (0, "315b108d2fef3c95cf1190f0ac6d47103bafca561edd4cf8a82661f90f5d8e4e"),
+    ("indcpa", "rank", None, False): (0, "97a1013941dda4ad60fe43a05f9cc4ae6a6bed1d27173cb52d899711a6dd4ac6"),
+    ("indcpa", "rank", None, True): (0, "6d30cf09268e0db6fc7eb0d1d1269ed7bd3b626ae1a94eeec628e7330ea89757"),
+    ("indcpa", "rank", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "rank", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "rank", 'theorem1', False): (0, "7f454fd3442ef3f20007af8fb62416016fde5629b31f61f8f5d6b5214bde28fc"),
+    ("indcpa", "rank", 'theorem1', True): (0, "f36bdacb12a3ee8cf2f16b86b19836f920adb2e88d0d4a2d6d1252e1ad1135e3"),
+    ("indcpa", "oracle", None, False): (0, "51649d49e520b8e659f3c96f4f87b98f856c2836119ef55ba2daf9d7c9239371"),
+    ("indcpa", "oracle", None, True): (0, "2b2d553f627e3ed49b840bb83633b5f84f21c0f48fd6e9ad7200ec86c1eaac2f"),
+    ("indcpa", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("indcpa", "oracle", 'theorem1', False): (0, "c1ddd01c5782dbaa6374ca5452bc01fe51544023a6c67846c9c8901468a6329e"),
+    ("indcpa", "oracle", 'theorem1', True): (0, "e0483c4a7aa4e94055ef9b42047809260a597ae44d4bcdcc0447b99d9fd11440"),
+}
+
+
+@pytest.mark.parametrize("game, adversary, reduction, as_json", list(_GAME_GOLDEN))
+def test_game_command_golden_output(game, adversary, reduction, as_json, capsys):
+    argv = ["game", game, "--adversary", adversary, "--trials", "100", "--seed", "9"]
+    if reduction:
+        argv += ["--reduction", reduction]
+    if as_json:
+        argv.append("--json")
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == _GAME_GOLDEN[game, adversary, reduction, as_json]

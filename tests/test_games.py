@@ -21,11 +21,11 @@ from mvphe import (
     indcpa_game,
     joint_ci,
     keygen,
-    lemma1_adapter,
+    Lemma1Adversary,
     lemma1_experiment,
     lwe_subspace_instance,
     scheme_instance,
-    theorem1_adapter,
+    Theorem1Adversary,
     theorem1_experiment,
     uniform_subspace_instance,
 )
@@ -119,8 +119,8 @@ def test_hsm_known_secret_on_scheme_instance_matches_direct_monte_carlo():
     params = toy_additive_params()
     sk = keygen(params, RandomStream(107))
     inst = scheme_instance(sk)
-    threshold = sk.sigma_s * sk.p // 2
-    leak = Leak(s=sk.s, threshold=threshold)
+    threshold = Q // 4  # the adversary's fixed acceptance bound
+    leak = Leak(s=sk.s)
 
     # independent estimate of both acceptance probabilities from the oracle
     # distributions themselves
@@ -153,9 +153,10 @@ def test_hsm_challenge_once():
         orc.challenge()
 
 
-def test_hsm_sample_cap():
+def test_hsm_sample_cap(monkeypatch):
+    monkeypatch.setattr(games, "SAMPLE_CAP", 5)
     inst = _small_instance(RandomStream(112))
-    orc = HsmOracles(inst, RandomStream(113), sample_cap=5)
+    orc = HsmOracles(inst, RandomStream(113))
     for _ in range(5):
         orc.sample()
     with pytest.raises(ProtocolViolationError):
@@ -235,7 +236,7 @@ def test_dlwe_linear_solve_zero_noise():
 
 def test_dlwe_rank_adversary_blind_under_noise():
     # noisy samples are full rank, so membership carries no signal
-    wrapped = lemma1_adapter(RankMembershipAdversary())
+    wrapped = Lemma1Adversary(RankMembershipAdversary())
 
     def game_fn(adv, sub):
         return dlwe_game(8, Q, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
@@ -265,7 +266,7 @@ def test_dlwe_oracle_golden_draws(beta, digest):
 
 def test_lemma1_transcript_is_a_minus_b():
     oracles = DlweOracles(6, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120))
-    wrapped = lemma1_adapter(RankMembershipAdversary(extra_samples=2))
+    wrapped = Lemma1Adversary(RankMembershipAdversary())
     wrapped.run(oracles, RandomStream(121))
     view = wrapped.last_view
     assert view.transcript, "adapter recorded no queries"
@@ -275,7 +276,7 @@ def test_lemma1_transcript_is_a_minus_b():
 
 
 def test_lemma1_wrapped_random_guesser_blind():
-    wrapped = lemma1_adapter(RandomGuesser())
+    wrapped = Lemma1Adversary(RandomGuesser())
 
     def game_fn(adv, sub):
         return dlwe_game(8, Q, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
@@ -285,7 +286,7 @@ def test_lemma1_wrapped_random_guesser_blind():
 
 
 def test_lemma1_wrapped_rank_zero_noise_wins():
-    wrapped = lemma1_adapter(RankMembershipAdversary())
+    wrapped = Lemma1Adversary(RankMembershipAdversary())
 
     def game_fn(adv, sub):
         return dlwe_game(8, Q, NoiseSpec(0.0, Q, 1), adv, sub)
@@ -349,10 +350,11 @@ def test_indcpa_challenge_protocol(toy_key):
         orc2.left_right(0, 1)
 
 
-def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key):
+def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key, monkeypatch):
     # one more sample than SAMPLE_CAP: sample SAMPLE_CAP + 1 once shared the
     # challenge's stream, so with beta = 0 the two were the same ciphertext
-    orc = IndCpaOracles(toy_key, RandomStream(134), force_beta=0, sample_cap=SAMPLE_CAP + 1)
+    monkeypatch.setattr(games, "SAMPLE_CAP", SAMPLE_CAP + 1)
+    orc = IndCpaOracles(toy_key, RandomStream(134), force_beta=0)
     Z = orc.encrypt_zeros(SAMPLE_CAP + 1)
     ct = orc.left_right(0, 1)
     assert Z.shape == (SAMPLE_CAP + 1, toy_key.n)
@@ -361,8 +363,9 @@ def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key):
     assert all(np.array_equal(a[1], z) for a, z in zip(orc.audit, Z))
 
 
-def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key):
-    orc = IndCpaOracles(toy_key, RandomStream(135), sample_cap=5)
+def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key, monkeypatch):
+    monkeypatch.setattr(games, "SAMPLE_CAP", 5)
+    orc = IndCpaOracles(toy_key, RandomStream(135))
     Z = orc.encrypt_zeros(3)
     assert [decrypt(toy_key, Ciphertext(z, Q)) for z in Z] == [0, 0, 0]
     with pytest.raises(ProtocolViolationError):
@@ -388,9 +391,7 @@ def test_indcpa_rank_adversary_asks_once_for_its_samples(toy_key, monkeypatch):
 
 def test_theorem1_transcripts(toy_key):
     inst = scheme_instance(toy_key)
-    wrapped = theorem1_adapter(
-        IndCpaRankAdversary(), p=toy_key.p, leak=Leak(p=toy_key.p)
-    )
+    wrapped = Theorem1Adversary(IndCpaRankAdversary(), toy_key.p, Leak(p=toy_key.p))
     hsm_game(inst, wrapped, RandomStream(131))
     view = wrapped.last_view
     enc_zero = [t for t in view.transcript if t[0] == "encrypt_zero"]
@@ -401,6 +402,19 @@ def test_theorem1_transcripts(toy_key):
     _, challenge_out, reply = lr[0]
     shift = (reply - challenge_out) % Q
     assert np.all((shift == 0) | (shift == toy_key.p * view.gamma % Q))
+
+
+@pytest.mark.parametrize("m0, m1", [(2, 0), (0, -1)])
+def test_theorem1_view_refuses_non_bit_messages_like_the_real_oracle(toy_key, m0, m1):
+    real = IndCpaOracles(toy_key, RandomStream(159))
+    view = games._IndCpaViewOfHsm(HsmOracles(scheme_instance(toy_key), RandomStream(160)),
+                                  toy_key.p, 0, None)
+    for oracles in (real, view):
+        with pytest.raises(ValueError, match="challenge messages must be bits"):
+            oracles.left_right(m0, m1)
+        with pytest.raises(ProtocolViolationError, match="one challenge message must be 0"):
+            oracles.left_right(1, 1)
+        oracles.left_right(0, 1)  # the refused calls did not spend the challenge
 
 
 def test_theorem1_wrapped_random_guesser_blind(toy_params):
@@ -434,7 +448,7 @@ def test_theorem1_full_advantage_at_zero_noise(q):
 
 def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
     inst = scheme_instance(toy_key)
-    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=toy_key.p, leak=Leak(p=toy_key.p))
+    wrapped = Theorem1Adversary(IndCpaRankAdversary(), toy_key.p, Leak(p=toy_key.p))
     orc = HsmOracles(inst, RandomStream(139))
     wrapped.run(orc, RandomStream(140))
     samples = [a[3] for a in orc.audit if a[0] == "sample"]
@@ -478,18 +492,19 @@ def _counting(monkeypatch, cls):
 
 
 @pytest.mark.parametrize("make", [
-    lambda cap: HsmOracles(_small_instance(RandomStream(145)), RandomStream(146), sample_cap=cap),
-    lambda cap: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(146), sample_cap=cap),
+    lambda: HsmOracles(_small_instance(RandomStream(145)), RandomStream(146)),
+    lambda: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(146)),
 ])
-def test_samples_count_against_the_cap_before_drawing(make):
-    orc = make(5)
+def test_samples_count_against_the_cap_before_drawing(make, monkeypatch):
+    monkeypatch.setattr(games, "SAMPLE_CAP", 5)
+    orc = make()
     orc.samples(3)
     drawn = orc._stream.counter
     with pytest.raises(ProtocolViolationError):
         orc.samples(3)
     assert orc._stream.counter == drawn and len(orc.audit) == 3
     with pytest.raises(ValueError):
-        make(5).samples(0)
+        make().samples(0)
 
 
 def test_hsm_samples_audit_members_plus_head_free_noise():
@@ -522,14 +537,14 @@ def test_rank_and_linear_adversaries_ask_once_for_their_samples(monkeypatch):
     hsm_game(inst, RankMembershipAdversary(), RandomStream(152))
     noise = NoiseSpec(0.0, Q, 1)
     dlwe_game(8, Q, noise, LinearSolveAdversary(), RandomStream(153))
-    dlwe_game(8, Q, noise, lemma1_adapter(RankMembershipAdversary()), RandomStream(154))
+    dlwe_game(8, Q, noise, Lemma1Adversary(RankMembershipAdversary()), RandomStream(154))
     assert hsm_asked == [12 + 8]
     assert dlwe_asked == [8 + 8, 9 + 8]
 
 
 def test_theorem1_view_asks_once_for_encrypt_zeros(toy_key, monkeypatch):
     asked = _counting(monkeypatch, HsmOracles)
-    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=toy_key.p, leak=Leak(p=toy_key.p))
+    wrapped = Theorem1Adversary(IndCpaRankAdversary(), toy_key.p, Leak(p=toy_key.p))
     hsm_game(scheme_instance(toy_key), wrapped, RandomStream(155))
     assert asked == [toy_key.n + 8]
 
@@ -539,9 +554,10 @@ def test_rank_games_are_won_every_time_at_zero_noise(toy_params_noiseless):
                             RandomStream(156))
     assert all(e.wins == e.trials for e in res.values())
     sk = keygen(toy_params_noiseless, RandomStream(157))
-    wrapped = theorem1_adapter(IndCpaRankAdversary(), p=sk.p, leak=Leak(p=sk.p))
+    wrapped = Theorem1Adversary(IndCpaRankAdversary(), sk.p, Leak(p=sk.p))
 
     def game_fn(adv, sub):  # beta = 1: the simulation is the real IND-CPA game
-        return hsm_game(scheme_instance(sk), adv, sub, force_beta=1)
+        oracles = HsmOracles(scheme_instance(sk), sub.derive(0), force_beta=1)
+        return oracles.finalize(adv.run(oracles, sub.derive(1)))
 
     assert estimate_advantage(game_fn, wrapped, 100, RandomStream(158)).wins == 100
