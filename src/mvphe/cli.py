@@ -209,7 +209,10 @@ def _cmd_game(args) -> int:
 
 def _game_noise(args, support_len):
     """Noise of std --alpha-q on Z_q, q = --q. Only the hsm and dlwe games and
-    Lemma 1 read --q (indcpa's q is the scheme's), so it is checked here."""
+    Lemma 1 read --q and --n (indcpa's are the scheme's), so both are checked
+    here."""
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     q = FieldContext(args.q).q
     return NoiseSpec(args.alpha_q / q, q, support_len)
 
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--reduction", choices=("lemma1", "theorem1"))
     p.add_argument("--params", help="parameter file for scheme-based games")
-    p.add_argument("--n", type=int, default=12, help="synthetic instance dimension")
+    p.add_argument("--n", type=int, default=12, help="synthetic instance dimension, at least 1")
     p.add_argument("--l", type=int, default=6, help="synthetic subspace dimension")
     p.add_argument("--q", type=int, default=10007,
                    help="prime modulus below 2^31 of the hsm and dlwe games and "

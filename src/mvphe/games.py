@@ -50,7 +50,9 @@ class SubspaceInstance:
         l = self.dim
         if not (1 <= l < self.n):
             raise ValueError(f"need 1 <= dim {l} < n {self.n}")
-        if rank(self.basis, self.q) != l:
+        # a basis [I | X] (the LWE instance's form) has rank l whatever X is
+        identity_head = np.array_equal(self.basis[:, :l], np.eye(l, dtype=np.int64))
+        if not identity_head and rank(self.basis, self.q) != l:
             raise DependentBasisError("basis rows must be linearly independent")
 
     @property
@@ -153,6 +155,8 @@ class HsmOracles(_OracleBase):
 
 class DlweOracles(_OracleBase):
     def __init__(self, n: int, q: int, noise: NoiseSpec, stream, force_beta=None):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         super().__init__(stream, force_beta)
         self.n, self.q = n, q
         self.noise = NoiseSpec(noise.alpha, q, 1)

@@ -7,6 +7,14 @@ reduces its working copy mod q, so it also accepts any int64 entries. q is
 checked (a prime below 2^31) once, where it enters the program, through
 :class:`~mvphe.field.FieldContext`; nothing here tests it again.
 
+``matmul_mod`` is exact at every such q. When k·(q−1)² fits in int64 it is
+one int64 product. Otherwise the shape of B decides: a B of two or more
+columns is split into three limbs and multiplied in float64 BLAS, in chunks
+of k short enough that every partial sum is an integer of magnitude at most
+2^53; a vector or one-column B is split into 16-bit limbs and multiplied in
+int64. The float64 sums are exact in any order, so results do not depend on
+the BLAS build, its blocking or its thread count.
+
 Elimination is Gaussian reduction by one rank-1 update per pivot, the pivot
 being the first row holding a nonzero entry — the field is exact, so there is
 no stability reason to pivot by magnitude, and the reduced form is unique
@@ -29,16 +37,22 @@ def dot_mod(a: np.ndarray, b: np.ndarray, q: int):
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """A @ B mod q, exact in int64, for entries of magnitude below q < 2^31.
+    """A @ B mod q, exact, for int64 entries of magnitude below q < 2^31.
 
-    Operands are not reduced here. Unless k·(q−1)² fits in int64, B is split
-    into 16-bit limbs and k into chunks of 2^15: partial sums stay below 2^62.
+    Operands are not reduced here. When k·(q−1)² fits in int64 this is one
+    int64 product. Otherwise B's shape picks the path: a B of two or more
+    columns goes through float64 BLAS (:func:`_matmul_mod_f64`); a vector or
+    one-column B, where converting A to float64 costs more than it saves, is
+    split into 16-bit limbs and k into chunks of 2^15, so the int64 partial
+    sums stay below 2^62.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     k = A.shape[-1]
     if k * (q - 1) ** 2 < 2**63:
         return A @ B % q
+    if B.ndim == 2 and B.shape[1] > 1:
+        return _matmul_mod_f64(A, B, q)
     hi, lo = B >> 16, B & 0xFFFF  # B = 2^16·hi + lo, exact for negative entries too
     step = 1 << 15
     out = 0
@@ -46,6 +60,54 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
         a = A[..., j : j + step]
         out = (out + a @ hi[j : j + step] % q * 65536 + a @ lo[j : j + step]) % q
     return out
+
+
+def _matmul_mod_f64(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """A @ B mod q for a k×m int64 B through float64 BLAS, exactly.
+
+    FFLAS-FFPACK's method: B = lo + 2^w·mid + 2^2w·hi with w = ⌈bits(q−1)/3⌉
+    (11 at q = 2^31 − 1). lo and mid lie in [0, 2^w), and hi, an arithmetic
+    shift, keeps the sign, so no limb exceeds 2^w in magnitude. k is taken in
+    chunks of k_c = ⌊2^53 / ((q−1)·2^w)⌋ (2048 at q = 2^31 − 1): every term
+    and every partial sum, in any order, is then an integer of magnitude at
+    most 2^53, which float64 holds exactly. So the product of a chunk of A
+    with the three limbs side by side is exact whatever the BLAS build, its
+    blocking, its use of FMA or its thread count, as long as it sums the
+    ordinary products (every dgemm does; a Strassen-type one would not). The
+    limb products go back to int64 and combine mod q by Horner's rule.
+    """
+    k, m = B.shape
+    w = -(-(q - 1).bit_length() // 3)
+    step = 2**53 // ((q - 1) << w)
+    mask = (1 << w) - 1
+    limbs = np.empty((k, 3, m))
+    limbs[:, 0], limbs[:, 1], limbs[:, 2] = B & mask, (B >> w) & mask, B >> 2 * w
+    limbs = limbs.reshape(k, 3 * m)
+    rows = A.reshape(-1, k).astype(np.float64)
+    P = np.empty((len(rows), 3 * m))
+    for j in range(0, k, step):
+        _gemm_on_this_thread(rows[:, j : j + step], limbs[j : j + step], P)
+        exact = P.astype(np.int64)
+        lo, mid, hi = exact[:, :m], exact[:, m : 2 * m], exact[:, 2 * m :]
+        t = (((hi % q) << w) + mid) % q  # < 2^31·2^w + 2^53: no int64 overflow
+        t = ((t << w) + lo) % q
+        out = t if j == 0 else (out + t) % q
+    return out.reshape(A.shape[:-1] + (m,))
+
+
+def _gemm_on_this_thread(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b in float64, in tiles of at most 128 columns and fewer than
+    2^19 multiply-adds. OpenBLAS gives a dgemm one thread per 2^18
+    multiply-adds, so each tile runs on the calling thread: on a busy
+    two-core host a threaded 73×210·210×120 product was seen to wait 16 ms
+    for its second thread, against 0.1 ms for the product itself."""
+    k, n = b.shape
+    width = min(n, 128)
+    height = max(1, (2**19 - 1) // (k * width))
+    for i in range(0, len(a), height):
+        for j in range(0, n, width):
+            np.matmul(a[i : i + height], b[:, j : j + width],
+                      out=out[i : i + height, j : j + width])
 
 
 def _eliminate(M: np.ndarray, q: int, reduce_above: bool) -> Tuple[np.ndarray, List[int]]:

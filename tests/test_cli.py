@@ -350,6 +350,18 @@ def test_game_refuses_bad_q_naming_it(game, q, why, capsys):
     assert "q must be" in err and why in err and str(q) in err
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("game", [
+    ["hsm", "--adversary", "rank"],
+    ["dlwe", "--adversary", "rank"],
+    ["dlwe", "--adversary", "rank", "--reduction", "lemma1"],
+])
+def test_game_refuses_n_below_one_naming_it(game, n, capsys):
+    assert main(["game", *game, "--trials", "100", "--seed", "1", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert f"n must be >= 1, got {n}" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("reduction", [[], ["--reduction", "theorem1"]])
 def test_indcpa_game_ignores_q(reduction, capsys):
     # indcpa's modulus is the scheme's, so --q neither is checked nor changes a draw

@@ -471,6 +471,39 @@ def test_subspace_instance_validation():
         )
 
 
+def test_identity_head_basis_skips_the_rank_check(monkeypatch):
+    # lemma 1's instance [I | -s] has rank n by construction; a random basis,
+    # or one whose head is only nearly the identity, is still eliminated
+    calls = []
+    real = games.rank
+    monkeypatch.setattr(games, "rank", lambda M, q: calls.append(M.shape) or real(M, q))
+    s = RandomStream(147).uniform_fq(Q, size=6)
+    assert lwe_subspace_instance(s, Q, NoiseSpec(0.0, Q, 1)).dim == 6
+    assert calls == []
+    inst = _small_instance(RandomStream(144))
+    assert calls == [(6, 12)] and inst.dim == 6
+    nearly = np.hstack([np.eye(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64)])
+    nearly[2, 2] = 0  # rows e_0 + .., e_1 + .., and (0, 0, 0, 1, 1): rank 3
+    SubspaceInstance(n=5, q=Q, basis=nearly, noise=NoiseSpec(0.0, Q, 1))
+    assert calls == [(6, 12), (3, 5)]
+    nearly[2] = nearly[0]  # dependent rows, head not the identity
+    with pytest.raises(ValueError):
+        SubspaceInstance(n=5, q=Q, basis=nearly, noise=NoiseSpec(0.0, Q, 1))
+
+
+def test_lemma1_experiment_wins_are_unchanged_by_the_skipped_rank_check():
+    # recorded while every native instance was still eliminated
+    res = lemma1_experiment(12, Q, NoiseSpec(8.0 / Q, Q, 1), RankMembershipAdversary(),
+                            100, RandomStream(148))
+    assert (res["native_hsm"].wins, res["wrapped_dlwe"].wins) == (54, 52)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_dlwe_oracles_refuse_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        DlweOracles(n, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
+
+
 def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
     calls = []
     real = games.rank

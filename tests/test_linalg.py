@@ -173,15 +173,19 @@ def test_matmul_mod_blocked_matches_direct():
 
 
 @pytest.mark.parametrize("q", [3, Q, Q31])
-@pytest.mark.parametrize("k", [1, 2, 3, 2**15 + 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 2048, 2049, 2**15 + 3])
 def test_matmul_mod_exact_against_python_ints(q, k):
-    # at q = 2^31 - 1, k = 2 is the longest single product (k·(q-1)^2 < 2^63),
-    # k = 3 the shortest limb-split one, and 2^15 + 3 spans two chunks
+    # at q = 2^31 - 1, k = 2 is the longest single product (k·(q-1)^2 < 2^63)
+    # and k = 3 the shortest limb-split one. A B of two or more columns then
+    # goes through float64 limbs, one chunk for k <= 2048: 2049 and 2^15 + 3
+    # take two and seventeen. A vector or one-column B stays on int64 limbs,
+    # whose chunks of 2^15 make 2^15 + 3 two.
     rng = np.random.default_rng([q, k])
     edge = np.array([-(q - 1), -1, 0, 1, q - 1])
     A = rng.integers(-(q - 1), q, size=(2, 4, k))  # a leading batch dimension
     A[0, 0] = q - 1
     A[0, 1] = -(q - 1)
+    A[0, 2] = q - 2  # odd: a float64 sum past 2^53 would drop its low bit
     A[1, 0] = rng.choice(edge, size=k)
     A[1, 1] = rng.integers(-(q // 2), q // 2 + 1, size=k)  # balanced residues
     B = np.stack([
@@ -190,13 +194,17 @@ def test_matmul_mod_exact_against_python_ints(q, k):
         rng.integers(-(q - 1), q, size=k),
         rng.choice(edge, size=k),
         rng.integers(0, q, size=k),
+        np.full(k, -1),  # every float64 limb but the top one at its largest
     ], axis=1)
     expect = (A.astype(object) @ B.astype(object)) % q
     got = matmul_mod(A, B, q)
-    assert got.dtype == np.int64 and got.shape == (2, 4, 5)
+    assert got.dtype == np.int64 and got.shape == (2, 4, 6)
     assert np.array_equal(got, expect.astype(np.int64))
-    for j in range(B.shape[1]):  # a 1-D right operand
+    assert np.array_equal(matmul_mod(A[1, 2], B, q), expect[1, 2].astype(np.int64))  # 1-D A
+    for j in range(B.shape[1]):  # a 1-D and a one-column right operand
         assert np.array_equal(matmul_mod(A, B[:, j], q), expect[..., j].astype(np.int64))
+        assert np.array_equal(matmul_mod(A, B[:, j : j + 1], q),
+                              expect[..., j : j + 1].astype(np.int64))
 
 
 def test_matmul_mod_long_extreme_sums():

@@ -142,6 +142,37 @@ def test_encrypt_golden_ciphertexts_with_live_noise(make_params, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def q31_key():
+    return keygen(_q31_mult_params(), RandomStream(42))
+
+
+def test_encrypt_batch_golden_bytes_at_q31(q31_key):
+    # G·Fᵀ with eight columns: the float64 limb products of matmul_mod; live
+    # noise goes through libm (Box-Muller), so this and the next golden hold
+    # per platform
+    C = encrypt_batch(q31_key, [0, 1, 1, 0, 1, 0, 0, 1], RandomStream(43))
+    assert C.shape == (8, 15)
+    assert hashlib.sha256(C.astype("<i8").tobytes()).hexdigest() == (
+        "92983dee8af3bcb781a484edc2a82ad1bf7ab81d5fa785f80b7dd43f09d5ed6e")
+
+
+def test_noise_bench_golden_rows_at_q31(q31_key):
+    # 300 trials: one block of 256 and one of 44, each one batch of 2k rows
+    assert noise_bench(q31_key, 300, RandomStream(44)) == {
+        "fresh": {"predicted_std": 1717986.9176, "measured_std": 1614055.445537028,
+                  "error_rate": 0.0, "max_abs_noise": 4447477, "p999_abs_noise": 4447477,
+                  "margin": 100566009.5, "error_rate_upper95": 0.009936081944457711},
+        "add": {"predicted_std": 2429600.398849469, "measured_std": 2474231.83623186,
+                "error_rate": 0.0, "max_abs_noise": 7323644, "p999_abs_noise": 7323644,
+                "margin": 97689842.5, "error_rate_upper95": 0.009936081944457711},
+        "mult": {"predicted_std": 2951481478645.1484, "measured_std": 623293368.4387084,
+                 "error_rate": 0.48, "max_abs_noise": 1073130167,
+                 "p999_abs_noise": 1073130167, "margin": -968116680.5,
+                 "error_rate_upper95": 0.5291016658963699},
+    }
+
+
 def test_eval_key_golden_bytes(tmp_path):
     from mvphe.files import load_evalkey, params_hash, save_evalkey
 
