@@ -175,8 +175,8 @@ def _cmd_game(args) -> int:
     seed = _resolve_seed(args.seed, None)
     stream = RandomStream(seed)
 
-    if args.reduction == "lemma1" and args.game not in ("hsm", "dlwe"):
-        print("--reduction lemma1 applies to the hsm/dlwe games", file=sys.stderr)
+    if args.reduction == "lemma1" and args.game != "hsm":
+        print("--reduction lemma1 applies to the hsm game", file=sys.stderr)
         return EXIT_USAGE
     if args.reduction == "theorem1" and args.game != "indcpa":
         print("--reduction theorem1 applies to the indcpa game", file=sys.stderr)

@@ -218,7 +218,7 @@ def load_key(path) -> SecretKey:
     sk = SecretKey(
         params=params,
         points=points,
-        G=evaluation_matrix(MonomialIndex(params.ell, params.enc_degree()), ctx, points),
+        G=evaluation_matrix((B_r if B_2r is None else B_2r).index, ctx, points),
         B_r=B_r,
         B_2r=B_2r,
         s=s,

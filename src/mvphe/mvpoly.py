@@ -44,6 +44,8 @@ class MonomialIndex:
                     e[v] += 1
                 exps.append(tuple(e))
         self.exponents: Tuple[Tuple[int, ...], ...] = tuple(exps)
+        # the same exponents as an N x ell array, for gathers from a power table
+        self.exponent_array = np.array(exps, dtype=np.intp).reshape(-1, ell)
         self._pos = {e: i for i, e in enumerate(exps)}
         self.size = len(exps)
         assert self.size == math.comb(ell + r, r)
@@ -149,18 +151,16 @@ def _power_table(points: np.ndarray, max_deg: int, q: int) -> np.ndarray:
 def evaluation_matrix(
     index: MonomialIndex, ctx: FieldContext, points: np.ndarray
 ) -> np.ndarray:
-    """n x N matrix whose row i evaluates every monomial of the index at z_i."""
+    """n x N matrix whose row i evaluates every monomial of the index at z_i:
+    one gather of the power table per variable, G[i, j] = prod_v z_iv^E[j, v]."""
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != index.ell:
         raise ValueError(f"points must have shape (n, {index.ell}), got {pts.shape}")
     pows = _power_table(pts, index.r, ctx.q)
-    G = np.ones((pts.shape[0], index.size), dtype=np.int64)
-    for j, exps in enumerate(index.exponents):
-        col = np.ones(pts.shape[0], dtype=np.int64)
-        for v, e in enumerate(exps):
-            if e:
-                col = col * pows[:, v, e] % ctx.q
-        G[:, j] = col
+    E = index.exponent_array
+    G = pows[:, 0, E[:, 0]]
+    for v in range(1, index.ell):
+        G = G * pows[:, v, E[:, v]] % ctx.q
     return G
 
 
@@ -233,10 +233,12 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A row-reduced basis of an ideal slice (``data``) and its dimension."""
+    """A row-reduced basis of an ideal slice (``data``), its dimension, and
+    the monomial index of its columns."""
 
     data: np.ndarray
     rows: int
+    index: MonomialIndex
 
 
 def ideal_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
@@ -277,4 +279,4 @@ def _build_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
     R, rk, _ = rref(np.array(rows, dtype=np.int64), ctx.q)
     data = R[:rk]
     data.flags.writeable = False
-    return IdealBasis(data, rk)
+    return IdealBasis(data, rk, out_index)

@@ -34,8 +34,8 @@ from .errors import (
 )
 from .field import FieldContext, round_nearest
 from .linalg import dot_mod, matmul_mod, orthogonal_head_map, rank
-from .mvpoly import (IdealBasis, IdealSpec, MonomialIndex, evaluation_matrix,
-                     ideal_truncated_basis, monomial_count)
+from .mvpoly import (IdealBasis, IdealSpec, evaluation_matrix, ideal_truncated_basis,
+                     monomial_count)
 from .sampling import NoiseSpec, RandomStream, sample_noise_vector
 
 MODE_ADDITIVE = "additive_only"
@@ -233,9 +233,8 @@ class SecretKey:
             if self.params.mode == MODE_ADDITIVE:
                 self._enc_basis = self.B_r.data
             else:
-                src = MonomialIndex(self.params.ell, self.params.r)
-                dst = MonomialIndex(self.params.ell, 2 * self.params.r)
-                cols = [dst.position(e) for e in src.exponents]
+                dst = self.B_2r.index
+                cols = [dst.position(e) for e in self.B_r.index.exponents]
                 wide = np.zeros((self.d_r, dst.size), dtype=np.int64)
                 wide[:, cols] = self.B_r.data
                 self._enc_basis = wide
@@ -274,9 +273,13 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     """Generate a secret key, resampling points and tails until the rank and
     magnitude conditions hold.
 
-    Raises KeyGenError (with the failing condition) when the retry budget is
-    exhausted, and ParameterInfeasibleError when no plaintext scale p can fit
-    below q/2.
+    A point set is checked for condition 2 first and for condition 1 (G of
+    full row rank) only once condition 2 holds, so a point set that fails
+    both counts as a ``condition2`` failure.
+
+    Raises KeyGenError (with the most frequent failing condition) when the
+    retry budget is exhausted, and ParameterInfeasibleError when no plaintext
+    scale p can fit below q/2.
     """
     ctx = params.ctx()
     q, n = params.q, params.n
@@ -284,24 +287,19 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     B_mode = B_r if B_2r is None else B_2r
     d_r, head_len = B_r.rows, B_mode.rows
 
-    enc_index = MonomialIndex(params.ell, params.enc_degree())
-    r_index = MonomialIndex(params.ell, params.r)
     point_stream = stream.derive(0)
     tail_stream = stream.derive(1)
     failures = {"condition1": 0, "condition2": 0, "tail": 0}
 
     for _ in range(_POINT_ATTEMPTS):
         points = _sample_distinct_points(point_stream, q, n, params.ell)
-        G = evaluation_matrix(enc_index, ctx, points)
-        if rank(G, q) != n:
-            failures["condition1"] += 1
-            continue
+        G = evaluation_matrix(B_mode.index, ctx, points)
         # condition 2: the first d_r points separate the degree-r ideal slice,
         # and the first head_len points the evaluated one, whose matrix is the
         # head of V = B_mode·Gᵀ (E_2r; in additive mode E_r itself). One
         # elimination of V checks the head and gives s1 = K·s2 for every s2.
         if B_2r is not None:
-            E_r = matmul_mod(B_r.data, evaluation_matrix(r_index, ctx, points[:d_r]).T, q)
+            E_r = matmul_mod(B_r.data, evaluation_matrix(B_r.index, ctx, points[:d_r]).T, q)
             if rank(E_r, q) != d_r:
                 failures["condition2"] += 1
                 continue
@@ -309,6 +307,10 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
         K = orthogonal_head_map(V, head_len, q)
         if K is None:
             failures["condition2"] += 1
+            continue
+        # condition 1 needs no elimination of G: it is read off K
+        if not _full_row_rank(G, K, q):
+            failures["condition1"] += 1
             continue
 
         found = _choose_secret(params, V, K, tail_stream)
@@ -334,12 +336,25 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     )
 
 
+def _full_row_rank(G: np.ndarray, K: np.ndarray, q: int) -> bool:
+    """Condition 1, rank(G) = n, read off the head map K of V = B_mode·Gᵀ.
+
+    Every λ with λᵀG ≡ 0 has V·λ = B_mode·(λᵀG)ᵀ ≡ 0, and V's pivots are its
+    first head_len columns, so λ = (K·μ, μ) with μ ≠ 0 when λ ≠ 0. Hence G
+    has full row rank exactly when the N × tail_len product
+    Gᵀ·[K; I] = G_headᵀ·K + G_tailᵀ has rank tail_len.
+    """
+    head_len, tail_len = K.shape
+    GK = (matmul_mod(G[:head_len].T, K, q) + G[head_len:].T) % q
+    return rank(GK, q) == tail_len
+
+
 def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> np.ndarray:
     points = np.zeros((n, ell), dtype=np.int64)
     seen = set()
     i = 0
     while i < n:
-        cand = tuple(int(x) for x in stream.uniform_fq(q, size=ell))
+        cand = tuple(stream.uniform_fq(q, size=ell).tolist())
         if cand in seen:
             continue
         seen.add(cand)

@@ -327,7 +327,7 @@ def test_game_command_smoke(capsys):
 
 
 def test_game_reduction_json(capsys):
-    assert main(["game", "dlwe", "--adversary", "rank", "--reduction", "lemma1",
+    assert main(["game", "hsm", "--adversary", "rank", "--reduction", "lemma1",
                  "--trials", "100", "--seed", "4", "--n", "6", "--alpha-q", "0",
                  "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -341,7 +341,7 @@ def test_game_reduction_json(capsys):
 @pytest.mark.parametrize("game", [
     ["dlwe", "--adversary", "oracle"],
     ["hsm", "--adversary", "oracle"],
-    ["dlwe", "--adversary", "rank", "--reduction", "lemma1"],
+    ["hsm", "--adversary", "rank", "--reduction", "lemma1"],
 ])
 def test_game_refuses_bad_q_naming_it(game, q, why, capsys):
     assert main(["game", *game, "--alpha-q", "0",
@@ -354,7 +354,7 @@ def test_game_refuses_bad_q_naming_it(game, q, why, capsys):
 @pytest.mark.parametrize("game", [
     ["hsm", "--adversary", "rank"],
     ["dlwe", "--adversary", "rank"],
-    ["dlwe", "--adversary", "rank", "--reduction", "lemma1"],
+    ["hsm", "--adversary", "rank", "--reduction", "lemma1"],
 ])
 def test_game_refuses_n_below_one_naming_it(game, n, capsys):
     assert main(["game", *game, "--trials", "100", "--seed", "1", "--n", str(n)]) == 3
@@ -375,6 +375,9 @@ def test_indcpa_game_ignores_q(reduction, capsys):
 
 def test_game_reduction_usage_errors(capsys):
     assert main(["game", "indcpa", "--reduction", "lemma1", "--trials", "100"]) == 2
+    # Lemma 1 has one spelling: the dlwe spelling ran the same experiment
+    assert main(["game", "dlwe", "--reduction", "lemma1", "--trials", "100"]) == 2
+    assert "applies to the hsm game" in capsys.readouterr().err
     assert main(["game", "hsm", "--reduction", "theorem1", "--trials", "100"]) == 2
     assert main(["game", "hsm", "--adversary", "oracle", "--reduction", "lemma1",
                  "--trials", "100"]) == 2
@@ -383,7 +386,9 @@ def test_game_reduction_usage_errors(capsys):
 # Exit code and sha256 of stdout for every `mvphe game` game/adversary/reduction
 # combination at --trials 100 --seed 9, text and --json; usage errors (exit 2)
 # print nothing to stdout. Recorded before the adversary table replaced the
-# per-game if-chains; same-seed output must not move.
+# per-game if-chains; same-seed output must not move. The four dlwe cases of
+# random and rank under lemma1 became usage errors when Lemma 1 kept its one
+# spelling, `game hsm --reduction lemma1`, whose output they had repeated.
 _GAME_GOLDEN = {
     ("hsm", "random", None, False): (0, "78fd1b02bd3cd38409c20e6f673f31329af2b860a50f27cfe08115dffd3ed099"),
     ("hsm", "random", None, True): (0, "5c58a7580373cc2b04d6a236a148ce9738e5f2e77f3982cbbe21a37abeecec58"),
@@ -405,14 +410,14 @@ _GAME_GOLDEN = {
     ("hsm", "oracle", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", None, False): (0, "3f7603df4141f2be618326ee836e93f765ecad83a36d1fd51397620b3e655927"),
     ("dlwe", "random", None, True): (0, "23f930a3d375449a30a10083f34105b9cf0ea8e832ee829790fdc730a2305040"),
-    ("dlwe", "random", 'lemma1', False): (0, "eb90532eb7bbba60f9c0a39ffe5e7be629fb9987408e16b269ac5a9d4d631b85"),
-    ("dlwe", "random", 'lemma1', True): (0, "f52f5750336f425a2f8d7dee03880ee0f4a3ce0a6d667335752a6850c02b039c"),
+    ("dlwe", "random", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "random", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", None, False): (0, "11b5d6832c48e3923a6615c75e635f97534fd4913ccb7f57366e3c88f7b10f52"),
     ("dlwe", "rank", None, True): (0, "5a5674bcd6acd80156c3bb0359304b08694db5a592efc3265e466bf43b18cbc3"),
-    ("dlwe", "rank", 'lemma1', False): (0, "d441912b0213a70870ea7684bdff0ac3b48cdd8c9aba7a96cd6acffc71473727"),
-    ("dlwe", "rank", 'lemma1', True): (0, "1abbf09e374df4d78cd214b506dfa59200921308f63b14ead0df410e7294b5c1"),
+    ("dlwe", "rank", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dlwe", "rank", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "oracle", None, False): (0, "6b2b07368d5560a729438abdde7512b017976a57d1df34a4ffe9b7af959e6957"),

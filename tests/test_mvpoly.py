@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ def test_evaluation_matrix_rows_match_single_point():
     G = evaluation_matrix(idx, CTX, pts)
     for i in range(7):
         assert np.array_equal(G[i], eval_monomials(idx, CTX, pts[i]))
+
+
+@pytest.mark.parametrize("q", [Q, 2**31 - 1])
+@pytest.mark.parametrize("ell,r", [(1, 3), (2, 4), (4, 6)])
+def test_evaluation_matrix_against_python_int_powers(ell, r, q):
+    # the per-variable gathers against products of Python ints, which cannot
+    # overflow; entries near q exercise the largest int64 products
+    idx, rng = MonomialIndex(ell, r), np.random.default_rng(ell * r)
+    pts = rng.integers(0, q, size=(9, ell))
+    pts[0] = q - 1
+    G = evaluation_matrix(idx, FieldContext(q), pts)
+    expect = [[math.prod(pow(int(z), e, q) for z, e in zip(row, exps)) % q
+               for exps in idx.exponents] for row in pts]
+    assert G.tolist() == expect
 
 
 def test_poly_eval_examples():

@@ -32,6 +32,8 @@ from mvphe import (
     poly_mul,
     rank,
 )
+from mvphe.linalg import orthogonal_head_map
+from mvphe.mvpoly import ideal_truncated_basis
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
 from mvphe import scheme
 from mvphe.scheme import MODE_ADDITIVE, MODE_MULT
@@ -108,6 +110,52 @@ def test_keygen_golden_key_bytes(tmp_path, make_params, digest):
     path = tmp_path / "key.json"
     save_key(path, keygen(make_params(), RandomStream(42)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _scaled_q31_shaped_params():
+    """Two dense random degree-3 generators in ell = 4 over q = 2^31 - 1, r = 3,
+    mult mode, n = 73: d_2r = 69 and N_enc = 210."""
+    q = 2**31 - 1
+    rng, ctx, idx = np.random.default_rng(31), FieldContext(q), MonomialIndex(4, 3)
+    gens = []
+    while len(gens) < 2:
+        g = Polynomial(idx, ctx, rng.integers(0, q, size=idx.size))
+        if g.degree() == 3:
+            gens.append(g)
+    return SchemeParams(lam=32, q=q, ell=4, r=3, n=73, alpha="0.0000000037252903",
+                        epsilon="0.01", mode=MODE_MULT, ideal=IdealSpec(gens), headroom=2)
+
+
+def _small_prime_mult_params():
+    """The toy ideal at q = 17 with n = 14 of N_enc = 15, where both
+    conditions reject: of the 120 point sets that seeds 1-100 draw, 16 fail
+    condition 2 and 3 have a singular G, one of them failing both."""
+    return SchemeParams(lam=32, q=17, ell=2, r=2, n=14, alpha="0", epsilon="0.01",
+                        mode=MODE_MULT, ideal=toy_ideal(17), headroom=2)
+
+
+@pytest.mark.parametrize(
+    "make_params, seeds, digest",
+    [
+        (_scaled_q31_shaped_params, range(1, 4),
+         "45a2a66f798a633eba9e6989e4813c54f48580cc2ee6341aa4f68eafea250a95"),
+        (_small_prime_mult_params, range(1, 101),
+         "507d752a0be470743dc9fb38d71684c7b4cd9cd8c022900a3f329c7af90e42b3"),
+    ],
+)
+def test_keygen_golden_keys_across_seeds(make_params, seeds, digest):
+    # sha256 over points, G, s, p and sigma_s of every key; a seed whose keygen
+    # raises adds only the exception's type, since its message counts failures
+    params, h = make_params(), hashlib.sha256()
+    for seed in seeds:
+        try:
+            sk = keygen(params, RandomStream(seed))
+        except KeyGenError as exc:
+            h.update(type(exc).__name__.encode())
+            continue
+        for a in (sk.points, sk.G, sk.s, np.array([sk.p, sk.sigma_s])):
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_encrypt_golden_ciphertext_bytes(tmp_path):
@@ -260,6 +308,46 @@ def test_keygen_condition2_rejects_a_point_of_the_ideal_variety(monkeypatch):
         keygen(params, RandomStream(3))
     assert exc.value.reason == "condition2"
     assert "'condition1': 0" in str(exc.value) and "'tail': 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("q", [11, 13, 17])
+@pytest.mark.parametrize("mode", [MODE_ADDITIVE, MODE_MULT])
+def test_condition1_from_the_head_map_agrees_with_rank_of_g(q, mode):
+    # wherever V = B·Gᵀ passes condition 2, the verdict read off its head map
+    # K must equal rank(G) == n; square and nearly square G at small q are
+    # singular often enough that both verdicts occur
+    B = ideal_truncated_basis(toy_ideal(q), 2 if mode == MODE_ADDITIVE else 4)
+    stream, verdicts = RandomStream(q), {True: 0, False: 0}
+    for trial in range(1000):
+        n = B.index.size - trial % 2
+        points = scheme._sample_distinct_points(stream.derive(trial), q, n, 2)
+        G = evaluation_matrix(B.index, FieldContext(q), points)
+        K = orthogonal_head_map(matmul_mod(B.data, G.T, q), B.rows, q)
+        if K is None:
+            continue
+        verdict = scheme._full_row_rank(G, K, q)
+        assert verdict == (rank(G, q) == n)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
+def test_keygen_condition1_rejects_points_on_a_line(toy_params, monkeypatch):
+    # five points on the line x2 = 3·x1 + 1, a curve outside the ideal: the
+    # degree-<=2 monomials restricted to a line span only 3 dimensions, so
+    # G (5×6) is singular, while the two head points separate the ideal
+    # slice, so V's head stays invertible
+    real_sampler = scheme._sample_distinct_points
+
+    def sampler_on_a_line(stream, q, n, ell):
+        points = real_sampler(stream, q, n, ell)
+        points[:, 1] = (3 * points[:, 0] + 1) % q
+        return points
+
+    monkeypatch.setattr(scheme, "_sample_distinct_points", sampler_on_a_line)
+    with pytest.raises(KeyGenError) as exc:
+        keygen(toy_params, RandomStream(3))
+    assert exc.value.reason == "condition1"
+    assert "'condition2': 0" in str(exc.value) and "'tail': 0" in str(exc.value)
 
 
 def test_keygen_checks_orthogonality_without_assert(toy_params, monkeypatch):
