@@ -350,17 +350,20 @@ def _full_row_rank(G: np.ndarray, K: np.ndarray, q: int) -> bool:
 
 
 def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> np.ndarray:
-    points = np.zeros((n, ell), dtype=np.int64)
-    seen = set()
-    i = 0
-    while i < n:
-        cand = tuple(stream.uniform_fq(q, size=ell).tolist())
-        if cand in seen:
-            continue
-        seen.add(cand)
-        points[i] = cand
-        i += 1
-    return points
+    """n distinct points of F_q^ell, the first occurrences in draw order.
+
+    Each round draws the missing points as one block, so it consumes exactly
+    the candidates that drawing one point at a time until n are distinct
+    would: a (k, ell) draw yields the values of k draws of ell.
+    """
+    points, seen = [], set()
+    while len(points) < n:
+        block = stream.uniform_fq(q, size=(n - len(points), ell))
+        for cand in map(tuple, block.tolist()):
+            if cand not in seen:
+                seen.add(cand)
+                points.append(cand)
+    return np.array(points, dtype=np.int64)
 
 
 def _choose_secret(
@@ -472,10 +475,15 @@ def noise_measure(sk: SecretKey, ct: Ciphertext, m):
     return sk.ctx.balanced((dot_mod(sk.s, ct.c, q) - m * sk.sigma_s * sk.p) % q)
 
 
+def _phase_bit(sk: SecretKey, phase):
+    """The balanced phase <s, c> rounded to the nearest multiple of
+    sigma_s * p, mod 2: the decryption rule."""
+    return round_nearest(phase, sk.sigma_s * sk.p) % 2
+
+
 def decrypt(sk: SecretKey, ct: Ciphertext):
-    """The bit of a ciphertext, or one bit per row of a stack: the balanced
-    phase <s, c>, rounded to the nearest multiple of sigma_s * p, mod 2."""
-    return round_nearest(noise_measure(sk, ct, 0), sk.sigma_s * sk.p) % 2
+    """The bit of a ciphertext, or one bit per row of a stack."""
+    return _phase_bit(sk, noise_measure(sk, ct, 0))
 
 
 def hom_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
@@ -555,7 +563,8 @@ def error_rate_upper95(errors: int, trials: int) -> float:
 
     At zero errors that is 1 - 0.05^(1/trials). Otherwise Newton steps on
     the binomial CDF, whose derivative in p is -trials·P(Bin(trials-1, p) =
-    errors), inside a bisection bracket that every step narrows.
+    errors), inside a bisection bracket that every step narrows, until a
+    step moves p by at most 1e-14·p (at most 7 steps for trials <= 1000).
     """
     n, x = trials, errors
     if x >= n:
@@ -577,10 +586,13 @@ def error_rate_upper95(errors: int, trials: int) -> float:
             hi = p
         slope = math.exp(log_dbinom + x * math.log(p) + (n - 1 - x) * math.log1p(-p))
         nxt = p + f / slope if slope > 0 else (lo + hi) / 2
+        # converged? asked before the bracket test, since a step that rounds to
+        # p lands on a bracket end and bisecting would restart the search; the
+        # tolerance sits above f's ~2e-15 rounding noise, which steps only chase
+        if abs(nxt - p) <= 1e-14 * p:
+            return nxt
         if not lo < nxt < hi:
             nxt = (lo + hi) / 2
-        if abs(nxt - p) <= 1e-15 * p:
-            return nxt
         p = nxt
     return p
 
@@ -605,8 +617,10 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
     tally = {op: _NoiseTally(trials) for op in ops}
 
     def measure(op, ct, multiple, bit):
-        tally[op].add(noise_measure(sk, ct, multiple),
-                      int(np.count_nonzero(decrypt(sk, ct) != bit)))
+        # one <s, c> per row: the noise and the decrypted bit share its phase
+        phase = noise_measure(sk, ct, 0)
+        tally[op].add(sk.ctx.balanced(phase - multiple * sk.sigma_s * sk.p),
+                      int(np.count_nonzero(_phase_bit(sk, phase) != bit)))
 
     for b, start in enumerate(range(0, trials, _BENCH_BLOCK)):
         k = min(_BENCH_BLOCK, trials - start)

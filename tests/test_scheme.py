@@ -217,7 +217,7 @@ def test_noise_bench_golden_rows_at_q31(q31_key):
         "mult": {"predicted_std": 2951481478645.1484, "measured_std": 623293368.4387084,
                  "error_rate": 0.48, "max_abs_noise": 1073130167,
                  "p999_abs_noise": 1073130167, "margin": -968116680.5,
-                 "error_rate_upper95": 0.5291016658963699},
+                 "error_rate_upper95": 0.5291016658963698},
     }
 
 
@@ -747,6 +747,35 @@ def test_noise_bench_tail_statistics(toy_key):
         assert row["error_rate_upper95"] == pytest.approx(1 - 0.05 ** (1 / trials), rel=1e-12)
 
 
+def test_noise_bench_rows_agree_with_decrypt_and_noise_measure():
+    # noise_bench takes one phase <s, c> per row and derives both the noise
+    # and the bit from it; rebuild its blocks (256 + 44 trials) and count
+    # errors with decrypt and noise with noise_measure, row by row. The
+    # product noise wraps mod q, so the mult row has errors to count
+    sk = keygen(toy_mult_params(), RandomStream(1))
+    trials, stream = 300, RandomStream(21)
+    rows = noise_bench(sk, trials, stream)
+    errors = {"fresh": 0, "add": 0, "mult": 0}
+    max_abs = dict.fromkeys(errors, 0)
+    ek = eval_key(sk)
+    for b, start in enumerate(range(0, trials, scheme._BENCH_BLOCK)):
+        k = min(scheme._BENCH_BLOCK, trials - start)
+        sub = stream.derive(b)
+        m = sub.integers(0, 2, size=2 * k)
+        C = encrypt_batch(sk, m, sub)
+        ct1, ct2, m1, m2 = Ciphertext(C[:k], Q), Ciphertext(C[k:], Q), m[:k], m[k:]
+        for op, ct, multiple, bit in (("fresh", ct1, m1, m1),
+                                      ("add", hom_add(ct1, ct2), m1 + m2, (m1 + m2) % 2),
+                                      ("mult", hom_mult(ct1, ct2, ek), m1 * m2, m1 * m2)):
+            errors[op] += int(np.count_nonzero(decrypt(sk, ct) != bit))
+            noise = np.abs(noise_measure(sk, ct, multiple)).max()
+            max_abs[op] = max(max_abs[op], int(noise))
+    for op, row in rows.items():
+        assert row["error_rate"] * trials == errors[op], op
+        assert row["max_abs_noise"] == max_abs[op], op
+    assert errors["mult"] > 0
+
+
 def test_noise_tally_matches_whole_array_statistics():
     # the block-merged tally against statistics of all values at once
     rng = np.random.default_rng(15)
@@ -771,3 +800,28 @@ def test_error_rate_upper95_is_the_clopper_pearson_bound():
         expect = beta.ppf(0.95, errors + 1, trials - errors)
         assert scheme.error_rate_upper95(errors, trials) == pytest.approx(expect, rel=1e-9)
     assert scheme.error_rate_upper95(7, 7) == 1.0
+    # every error count below n, for every n up to 60 and three larger n
+    for trials in [*range(1, 61), 100, 300, 1000]:
+        errors = np.arange(trials)
+        expect = beta.ppf(0.95, errors + 1, trials - errors)
+        got = [scheme.error_rate_upper95(int(x), trials) for x in errors]
+        assert got == pytest.approx(expect, rel=1e-12), trials
+        assert scheme.error_rate_upper95(trials, trials) == 1.0
+
+
+def test_error_rate_upper95_stops_once_newton_has_converged(monkeypatch):
+    # each Newton step takes two log1p(-p): the CDF and its slope. A step
+    # that lands on a bracket end must end the search, not restart it by
+    # bisection, so no count at 20 trials may need more than 8 steps
+    calls = []
+    real_log1p = math.log1p
+
+    def counting_log1p(x):
+        calls.append(x)
+        return real_log1p(x)
+
+    monkeypatch.setattr(math, "log1p", counting_log1p)
+    for errors, trials in [*((x, 20) for x in range(1, 20)), (144, 300), (235, 1000)]:
+        calls.clear()
+        scheme.error_rate_upper95(errors, trials)
+        assert len(calls) <= 16, (errors, trials, len(calls))
