@@ -255,7 +255,7 @@ def load_ciphertext(path) -> tuple:
     phash = _require(d, "params_hash", str)
     q = _require_field(d).q
     c = _require_array(d, "c", q, (None,))
-    ct = Ciphertext(c, q, adds=_require_int(d, "adds", 0), mults=_require_int(d, "mults", 0))
+    ct = Ciphertext._reduced(c, q, _require_int(d, "adds", 0), _require_int(d, "mults", 0))
     return ct, phash
 
 

@@ -7,13 +7,15 @@ reduces its working copy mod q, so it also accepts any int64 entries. q is
 checked (a prime below 2^31) once, where it enters the program, through
 :class:`~mvphe.field.FieldContext`; nothing here tests it again.
 
-``matmul_mod`` is exact at every such q. When k·(q−1)² fits in int64 it is
-one int64 product. Otherwise the shape of B decides: a B of two or more
-columns is split into three limbs and multiplied in float64 BLAS, in chunks
-of k short enough that every partial sum is an integer of magnitude at most
-2^53; a vector or one-column B is split into 16-bit limbs and multiplied in
-int64. The float64 sums are exact in any order, so results do not depend on
-the BLAS build, its blocking or its thread count.
+``matmul_mod`` and ``dot_mod`` are exact at every such q. When k·(q−1)² fits
+in int64 (:func:`_fits_int64`) each is one int64 product, reduced once: the
+delayed reduction of FFLAS-FFPACK. Otherwise a large product whose B has two
+or more columns is split into three limbs and multiplied in float64 BLAS, in
+chunks of k short enough that every partial sum is an integer of magnitude at
+most 2^53; a vector, a one-column B or a product below ``_F64_FLOOR``
+multiply-adds is split into 16-bit limbs and multiplied in int64. The float64
+sums are exact in any order, so results do not depend on the BLAS build, its
+blocking or its thread count.
 
 Elimination is Gaussian reduction by one rank-1 update per pivot, the pivot
 being the first row holding a nonzero entry — the field is exact, so there is
@@ -28,30 +30,54 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 
+def _fits_int64(k: int, q: int) -> bool:
+    """Whether k products of residues below q sum exactly in int64."""
+    return k * (q - 1) ** 2 < 2**63
+
+
+# multiply-adds below which a many-column product at large q stays on int64
+# limbs: the float64 path's fixed cost, about 20 numpy calls, dominates there
+_F64_FLOOR = 16384
+
+
 def dot_mod(a: np.ndarray, b: np.ndarray, q: int):
-    """<a, b> mod q along the last axis, without 64-bit overflow (products
-    reduced before summing): an int for two vectors, one value per row for a
-    stack of rows. Operands are int64 arrays of magnitude below q."""
-    t = (a * b % q).sum(axis=-1) % q
-    return int(t) if t.ndim == 0 else t
+    """<a, b> mod q along the last axis: an int for two vectors, one value per
+    row when one operand is a stack of rows and the other a vector. Operands
+    are int64 arrays of magnitude below q, vectors of length below 2^16.
+
+    One int64 product when n·(q−1)² fits in int64. Otherwise the vector is
+    split into 16-bit limbs, [v >> 16, v & 0xFFFF], and multiplied as one
+    n×2 array: each column sum stays below n·2^47.
+    """
+    if a.ndim > 1:
+        a, b = b, a  # a is the vector
+    if _fits_int64(a.shape[-1], q):
+        t = b @ a % q
+        return int(t) if t.ndim == 0 else t
+    hl = b @ np.stack([a >> 16, a & 0xFFFF], axis=1)
+    if hl.ndim == 1:  # hl[..., 0] would be a 0-d array: combine in Python ints
+        h, l = hl.tolist()
+        return (h * 65536 + l) % q
+    return (hl[..., 0] % q * 65536 + hl[..., 1]) % q
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     """A @ B mod q, exact, for int64 entries of magnitude below q < 2^31.
 
     Operands are not reduced here. When k·(q−1)² fits in int64 this is one
-    int64 product. Otherwise B's shape picks the path: a B of two or more
-    columns goes through float64 BLAS (:func:`_matmul_mod_f64`); a vector or
-    one-column B, where converting A to float64 costs more than it saves, is
-    split into 16-bit limbs and k into chunks of 2^15, so the int64 partial
-    sums stay below 2^62.
+    int64 product. Otherwise a B of two or more columns in a product of at
+    least ``_F64_FLOOR`` multiply-adds goes through float64 BLAS
+    (:func:`_matmul_mod_f64`). A vector or one-column B, where converting A to
+    float64 costs more than it saves, and any smaller product are split into
+    16-bit limbs and k into chunks of 2^15, so the int64 partial sums stay
+    below 2^62.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     k = A.shape[-1]
-    if k * (q - 1) ** 2 < 2**63:
+    if _fits_int64(k, q):
         return A @ B % q
-    if B.ndim == 2 and B.shape[1] > 1:
+    if B.ndim == 2 and B.shape[1] > 1 and A.size * B.shape[1] >= _F64_FLOOR:
         return _matmul_mod_f64(A, B, q)
     hi, lo = B >> 16, B & 0xFFFF  # B = 2^16·hi + lo, exact for negative entries too
     step = 1 << 15

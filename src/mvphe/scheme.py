@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .field import FieldContext, round_nearest
-from .linalg import dot_mod, matmul_mod, orthogonal_head_map, rank
+from .linalg import _fits_int64, matmul_mod, orthogonal_head_map, rank
 from .mvpoly import (IdealBasis, IdealSpec, evaluation_matrix, ideal_truncated_basis,
                      monomial_count)
 from .sampling import NoiseSpec, RandomStream, sample_noise_vector
@@ -139,7 +139,12 @@ class SchemeParams:
 @dataclass
 class Ciphertext:
     """A length-n vector over F_q plus homomorphic-operation counters; ``c``
-    may also be a k×n stack of rows that share the counters."""
+    may also be a k×n stack of rows that share the counters.
+
+    The constructor takes any nonempty 1-d or 2-d integer array and stores its
+    canonical int64 residues. The library builds the ciphertexts it computes
+    through :meth:`_reduced`, which stores them as they are.
+    """
 
     c: np.ndarray
     q: int
@@ -147,9 +152,23 @@ class Ciphertext:
     mults: int = 0
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=np.int64) % self.q
+        c = np.asarray(self.c)
+        if c.dtype.kind not in "iu" or c.ndim not in (1, 2) or c.size == 0:
+            raise ValueError(f"c must be a nonempty 1-d or 2-d integer array, "
+                             f"got {c.dtype} of shape {c.shape}")
+        if c.dtype == np.uint64:  # entries at or above 2^63 do not fit int64
+            c = c % self.q
+        self.c = c.astype(np.int64, copy=False) % self.q
         if self.adds < 0 or self.mults < 0:
             raise ValueError("operation counters must be nonnegative")
+
+    @classmethod
+    def _reduced(cls, c: np.ndarray, q: int, adds: int = 0, mults: int = 0) -> "Ciphertext":
+        """A ciphertext of canonical int64 residues that the library computed
+        or validated: no check, no copy, no second reduction."""
+        ct = cls.__new__(cls)
+        ct.c, ct.q, ct.adds, ct.mults = c, q, adds, mults
+        return ct
 
     @property
     def n(self) -> int:
@@ -187,6 +206,14 @@ class SecretKey:
     sigma_s: int                # positive integer, balanced sum of s entries
     _enc_basis: Optional[np.ndarray] = dfield(default=None, repr=False)
     _noise_spec: Optional[NoiseSpec] = dfield(default=None, repr=False)
+    # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
+    # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the limb
+    # sums of c @ S stay below n·2^47, exact for every n < 2^16
+    _s_limbs: Optional[np.ndarray] = dfield(init=False, repr=False)
+
+    def __post_init__(self):
+        self._s_limbs = (None if _fits_int64(self.n, self.params.q)
+                         else np.stack([self.s >> 16, self.s & 0xFFFF], axis=1))
 
     @property
     def ctx(self) -> FieldContext:
@@ -453,7 +480,7 @@ def encrypt_traced(
     if m not in (0, 1):  # a scalar test: _as_bits would cost a list round trip per bit
         raise ValueError(f"plaintext must be a bit, got {m}")
     C, F, E = _encrypt_rows(sk, np.array([m], dtype=np.int64), stream)
-    return Ciphertext(C[0], sk.params.q), F[0], E[0]
+    return Ciphertext._reduced(C[0], sk.params.q), F[0], E[0]
 
 
 def encrypt(sk: SecretKey, m: int, stream: RandomStream) -> Ciphertext:
@@ -469,10 +496,23 @@ def _check_key_match(sk: SecretKey, ct: Ciphertext):
 def noise_measure(sk: SecretKey, ct: Ciphertext, m):
     """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
     message multiple m (0/1 fresh; up to the add count after additions).
-    For a stack of ciphertext rows, m and the result hold one value per row."""
+    For a stack of ciphertext rows, m and the result hold one value per row.
+
+    <s, c> is one int64 product, c @ s, reduced once; where that could
+    overflow, one product c @ [s >> 16, s & 0xFFFF], whose column sums stay
+    below n·2^47."""
     _check_key_match(sk, ct)
-    q = sk.params.q
-    return sk.ctx.balanced((dot_mod(sk.s, ct.c, q) - m * sk.sigma_s * sk.p) % q)
+    q, S = sk.params.q, sk._s_limbs
+    if S is None:
+        phase = ct.c @ sk.s % q
+    else:
+        hl = ct.c @ S
+        if hl.ndim == 1:  # hl[..., 0] would be 0-d arrays: combine in Python ints
+            h, l = hl.tolist()
+            phase = (h * 65536 + l) % q
+        else:
+            phase = (hl[:, 0] % q * 65536 + hl[:, 1]) % q
+    return sk.ctx.balanced((phase - m * sk.sigma_s * sk.p) % q)
 
 
 def _phase_bit(sk: SecretKey, phase):
@@ -489,12 +529,9 @@ def decrypt(sk: SecretKey, ct: Ciphertext):
 def hom_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     if c1.q != c2.q or c1.c.shape != c2.c.shape:
         raise ValueError("ciphertexts must share one q and one shape")
-    return Ciphertext(
-        (c1.c + c2.c) % c1.q,
-        c1.q,
-        adds=max(c1.adds, c2.adds) + 1,
-        mults=max(c1.mults, c2.mults),
-    )
+    t = c1.c + c2.c  # one fresh array, reduced in place
+    t %= c1.q
+    return Ciphertext._reduced(t, c1.q, max(c1.adds, c2.adds) + 1, max(c1.mults, c2.mults))
 
 
 def hom_mult(c1: Ciphertext, c2: Ciphertext, ek: EvalKey) -> Ciphertext:
@@ -504,13 +541,11 @@ def hom_mult(c1: Ciphertext, c2: Ciphertext, ek: EvalKey) -> Ciphertext:
         raise ValueError("evaluation key does not match the ciphertexts")
     if c1.mults or c2.mults:
         raise DepthError("multiplication depth 1 already spent")
-    prod = ek.p_inverse * (c1.c * c2.c % ek.q) % ek.q
-    return Ciphertext(
-        prod,
-        ek.q,
-        adds=max(c1.adds, c2.adds),
-        mults=max(c1.mults, c2.mults) + 1,
-    )
+    t = c1.c * c2.c  # one fresh array: p^-1·(c1 ⊙ c2), every step below 2^62
+    t %= ek.q
+    t *= ek.p_inverse
+    t %= ek.q
+    return Ciphertext._reduced(t, ek.q, max(c1.adds, c2.adds), max(c1.mults, c2.mults) + 1)
 
 
 def noise_budget(sk: SecretKey) -> NoiseBudget:
@@ -627,7 +662,8 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
         sub = stream.derive(b)
         m = sub.integers(0, 2, size=2 * k)
         C = _encrypt_rows(sk, m, sub)[0]
-        ct1, ct2, m1, m2 = Ciphertext(C[:k], q), Ciphertext(C[k:], q), m[:k], m[k:]
+        ct1, ct2 = Ciphertext._reduced(C[:k], q), Ciphertext._reduced(C[k:], q)
+        m1, m2 = m[:k], m[k:]
         measure("fresh", ct1, m1, m1)
         measure("add", hom_add(ct1, ct2), m1 + m2, (m1 + m2) % 2)
         if ek is not None:

@@ -12,6 +12,7 @@ from mvphe import (
     rref,
     solve_linear,
 )
+from mvphe import linalg
 
 Q = 10007
 Q31 = 2**31 - 1
@@ -177,9 +178,10 @@ def test_matmul_mod_blocked_matches_direct():
 def test_matmul_mod_exact_against_python_ints(q, k):
     # at q = 2^31 - 1, k = 2 is the longest single product (k·(q-1)^2 < 2^63)
     # and k = 3 the shortest limb-split one. A B of two or more columns then
-    # goes through float64 limbs, one chunk for k <= 2048: 2049 and 2^15 + 3
-    # take two and seventeen. A vector or one-column B stays on int64 limbs,
-    # whose chunks of 2^15 make 2^15 + 3 two.
+    # goes through float64 limbs from k = 2048 on (k = 3 stays below the size
+    # floor, on int64 limbs), one chunk for k <= 2048: 2049 and 2^15 + 3 take
+    # two and seventeen. A vector or one-column B stays on int64 limbs, whose
+    # chunks of 2^15 make 2^15 + 3 two.
     rng = np.random.default_rng([q, k])
     edge = np.array([-(q - 1), -1, 0, 1, q - 1])
     A = rng.integers(-(q - 1), q, size=(2, 4, k))  # a leading batch dimension
@@ -205,6 +207,43 @@ def test_matmul_mod_exact_against_python_ints(q, k):
         assert np.array_equal(matmul_mod(A, B[:, j], q), expect[..., j].astype(np.int64))
         assert np.array_equal(matmul_mod(A, B[:, j : j + 1], q),
                               expect[..., j : j + 1].astype(np.int64))
+
+
+def test_matmul_mod_size_floor_picks_the_path(monkeypatch):
+    # at q = 2^31 - 1 a B of two or more columns goes through float64 exactly
+    # when the product makes at least _F64_FLOOR multiply-adds; both paths
+    # are exact on either side of the floor
+    taken = []
+    real = linalg._matmul_mod_f64
+    monkeypatch.setattr(linalg, "_matmul_mod_f64",
+                        lambda A, B, q: taken.append(A.shape) or real(A, B, q))
+    floor = linalg._F64_FLOOR
+    rng = np.random.default_rng(17)
+    shapes = [(2, 35, 2), (15, 15, 8), (15, 64, 17), (16, 64, 16), (210, 69, 4)]
+    for rows, k, cols in shapes:
+        A = rng.integers(-(Q31 - 1), Q31, size=(rows, k))
+        B = rng.integers(-(Q31 - 1), Q31, size=(k, cols))
+        A[0], B[:, 0] = Q31 - 1, -(Q31 - 1)
+        expect = (A.astype(object) @ B.astype(object)) % Q31
+        assert np.array_equal(matmul_mod(A, B, Q31), expect.astype(np.int64))
+    assert 15 * 64 * 17 < floor <= 16 * 64 * 16
+    assert taken == [(r, k) for r, k, c in shapes if r * k * c >= floor]
+
+
+@pytest.mark.parametrize("q, n", [(Q31, 2), (Q31, 3), (Q, 15)])
+def test_dot_mod_at_the_int64_bound(q, n):
+    # every entry q - 1: at q = 2^31 - 1, n = 2 is the longest sum that fits
+    # one int64 product (2·(q-1)^2 < 2^63) and n = 3 goes through 16-bit limbs
+    rng = np.random.default_rng([q, n])
+    B = np.vstack([np.full(n, q - 1), np.full(n, -(q - 1)),
+                   rng.integers(-(q - 1), q, size=(3, n))])
+    for a in (np.full(n, q - 1), np.full(n, -(q - 1))):
+        expect = [sum(int(x) * int(y) for x, y in zip(a, row)) % q for row in B]
+        assert dot_mod(a, B, q).tolist() == expect  # a stack in either order
+        assert dot_mod(B, a, q).tolist() == expect
+        for row, e in zip(B, expect):
+            for got in (dot_mod(a, row, q), dot_mod(row, a, q)):
+                assert got == e and isinstance(got, int)
 
 
 def test_matmul_mod_long_extreme_sums():

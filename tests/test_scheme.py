@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -32,6 +33,7 @@ from mvphe import (
     poly_mul,
     rank,
 )
+from mvphe.field import round_nearest
 from mvphe.linalg import orthogonal_head_map
 from mvphe.mvpoly import ideal_truncated_basis
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
@@ -453,6 +455,53 @@ def test_stacked_decrypt_and_noise_measure_match_rows(batch_key):
             noise_measure(sk, r, int(m)) for r, m in zip(rows, multiple)]
 
 
+def _phase_in_python_ints(sk, c):
+    """balanced(<s, c>) of one row, in Python ints."""
+    return sk.ctx.balanced(sum(int(a) * int(b) for a, b in zip(sk.s, c)))
+
+
+def _agree_with_python_ints(sk, C, multiples):
+    """noise_measure and decrypt of the stack C, and of each of its rows, equal
+    the rule applied to a Python-int <s, c>."""
+    q, scale = sk.params.q, sk.sigma_s * sk.p
+    phases = [_phase_in_python_ints(sk, row) for row in C]
+    noise = [sk.ctx.balanced(ph - int(m) * scale) for ph, m in zip(phases, multiples)]
+    bits = [round_nearest(ph, scale) % 2 for ph in phases]
+    ct = Ciphertext(C, q)
+    assert noise_measure(sk, ct, multiples).tolist() == noise
+    assert decrypt(sk, ct).tolist() == bits
+    for row, m, want_noise, want_bit in zip(C, multiples, noise, bits):
+        got = noise_measure(sk, Ciphertext(row, q), int(m))
+        assert got == want_noise and isinstance(got, int)
+        assert decrypt(sk, Ciphertext(row, q)) == want_bit
+
+
+def test_inner_product_agrees_with_python_ints(batch_key):
+    sk = batch_key
+    q, ek = sk.params.q, eval_key(sk)
+    bits = RandomStream(13).integers(0, 2, size=2 * 9)
+    C = encrypt_batch(sk, bits, RandomStream(14))
+    c1, c2, m1, m2 = Ciphertext(C[:9], q), Ciphertext(C[9:], q), bits[:9], bits[9:]
+    for ct, multiple in ((c1, m1), (hom_add(c1, c2), m1 + m2), (hom_mult(c1, c2, ek), m1 * m2)):
+        _agree_with_python_ints(sk, ct.c, multiple)
+    extremes = np.array([np.full(sk.n, q - 1), np.zeros(sk.n, dtype=np.int64)])
+    _agree_with_python_ints(sk, extremes, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("r, n", [(1, 2), (2, 3)])
+def test_inner_product_at_the_int64_bound(r, n):
+    # s and c all q - 1 at q = 2^31 - 1: <s, c> is one int64 product at n = 2,
+    # where 2·(q-1)^2 < 2^63, and goes through s's 16-bit limbs at n = 3
+    q = 2**31 - 1
+    x = Polynomial.from_terms(MonomialIndex(1, r), FieldContext(q), [(1, (1,))])
+    params = SchemeParams(lam=32, q=q, ell=1, r=r, n=n, alpha="0", epsilon="0.01",
+                          mode=MODE_ADDITIVE, ideal=IdealSpec([x]))
+    sk = dataclasses.replace(keygen(params, RandomStream(3)), s=np.full(n, q - 1))
+    assert (sk._s_limbs is None) == (n == 2)
+    C = np.array([np.full(n, q - 1), np.full(n, q - 2), np.arange(1, n + 1)])
+    _agree_with_python_ints(sk, C, np.array([0, 1, 0]))
+
+
 def test_encrypt_batch_rejects_non_bits(toy_key):
     for bad in ([0, 2], [[0, 1]], [0.5], [-1], 1):
         with pytest.raises(ValueError):
@@ -546,6 +595,42 @@ def test_hom_add_counters_and_inner_product_linearity(toy_key):
     n1 = noise_measure(sk, c1, 0)
     n2 = noise_measure(sk, c2, 1)
     assert noise_measure(sk, ca, 1) == sk.ctx.balanced(n1 + n2)
+
+
+def test_ciphertext_constructor_enforces_its_contract():
+    for bad in ([1.7, 2.2], np.array([True, False]), 5, np.array(5), [], [[]],
+                np.zeros((2, 2, 2), dtype=np.int64), [2**70]):
+        with pytest.raises(ValueError, match="c must be a nonempty 1-d or 2-d integer array"):
+            Ciphertext(bad, Q)
+    for good, residues in (([-1, Q, 3], [Q - 1, 0, 3]),
+                           (np.array([Q + 2, 7], dtype=np.int32), [2, 7]),
+                           (np.array([2**64 - 1, 1], dtype=np.uint64), [(2**64 - 1) % Q, 1]),
+                           ([[1, -2], [Q, 4]], [[1, Q - 2], [0, 4]])):
+        ct = Ciphertext(good, Q)
+        assert ct.c.dtype == np.int64 and ct.c.tolist() == residues
+
+
+def test_hom_ops_compute_fresh_canonical_residues(batch_key):
+    sk = batch_key
+    q, ek = sk.params.q, eval_key(sk)
+    C = encrypt_batch(sk, [0, 1, 1, 0], RandomStream(15))
+    for c1, c2 in ((Ciphertext(C[0], q), Ciphertext(C[1], q)),
+                   (Ciphertext(C[:2], q), Ciphertext(C[2:], q)),
+                   (Ciphertext(C[2], q), Ciphertext(C[2], q))):
+        for x, y in ((c1, c2), (c1, c1)):  # hom_add(c, c) too
+            before = x.c.copy(), y.c.copy()
+            a, b = x.c.astype(object), y.c.astype(object)
+            ca, cm = hom_add(x, y), hom_mult(x, y, ek)
+            for got, want in ((ca, (a + b) % q), (cm, ek.p_inverse * (a * b) % q)):
+                assert got.c.dtype == np.int64 and got.c.tolist() == want.tolist()
+                assert not np.shares_memory(got.c, x.c) and not np.shares_memory(got.c, y.c)
+            assert np.array_equal(x.c, before[0]) and np.array_equal(y.c, before[1])
+            assert (ca.adds, ca.mults, cm.adds, cm.mults) == (1, 0, 0, 1)
+    sums = hom_add(hom_add(c1, c2), c1)
+    assert (sums.adds, sums.mults) == (2, 0)
+    prod = hom_mult(sums, c2, ek)
+    assert (prod.adds, prod.mults) == (2, 1)
+    assert (hom_add(prod, c1).adds, hom_add(prod, c1).mults) == (3, 1)
 
 
 def test_hom_add_dimension_mismatch(toy_key, mult_key):
