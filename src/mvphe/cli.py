@@ -23,7 +23,7 @@ from .errors import (
 )
 from .field import FieldContext
 from .linalg import nullspace_basis
-from .mvpoly import ideal_truncated_basis, monomial_count
+from .mvpoly import ideal_truncated_basis
 from .presets import toy_additive_params
 from .sampling import NoiseSpec, RandomStream
 from .scheme import (
@@ -246,16 +246,14 @@ def _game_params(args):
 
 def _cmd_check_params(args) -> int:
     params, _ = files.load_params(args.params)
-    B_r, B_2r, lo, hi = feasibility(params)
-    if B_2r is None:  # additive keys never build it; shown for reference
-        B_2r = ideal_truncated_basis(params.ideal, 2 * params.r)
-    N = monomial_count(params.ell, params.r)
-    N_enc = monomial_count(params.ell, params.enc_degree())
+    B_r, B, lo, hi = feasibility(params)
+    d_2r = ideal_truncated_basis(params.ideal, 2 * params.r).rows  # shown in additive mode too
+    N, N_enc = B_r.index.size, B.index.size
     _print_table(
         ("N", "d_r", "d_2r", "n", "mode", "sigma_p_min", "sigma_p_max"),
-        [(N, B_r.rows, B_2r.rows, params.n, params.mode, lo, hi)],
+        [(N, B_r.rows, d_2r, params.n, params.mode, lo, hi)],
         args.json,
-        {"N": N, "N_enc": N_enc, "d_r": B_r.rows, "d_2r": B_2r.rows, "n": params.n,
+        {"N": N, "N_enc": N_enc, "d_r": B_r.rows, "d_2r": d_2r, "n": params.n,
          "mode": params.mode, "sigma_p_min": lo, "sigma_p_max": hi},
     )
     return EXIT_OK

@@ -24,14 +24,12 @@ from .field import FieldContext
 from .linalg import matmul_mod
 from .mvpoly import (
     MONOMIAL_ORDER,
-    IdealBasis,
     IdealSpec,
     MonomialIndex,
     Polynomial,
     evaluation_matrix,
-    ideal_truncated_basis,
 )
-from .scheme import MODE_MULT, Ciphertext, EvalKey, SchemeParams, SecretKey
+from .scheme import Ciphertext, EvalKey, SchemeParams, SecretKey
 
 FILE_VERSION = 1
 
@@ -213,31 +211,20 @@ def load_key(path) -> SecretKey:
     s = _require_array(d, "s", q, (n,))
     p = _require_int(d, "p", 1, q)
     sigma = _require_int(d, "sigma_s", 1, q // 2 + 1)
-    B_r = _require_basis(d, "B_r", params, params.r)
-    B_2r = _require_basis(d, "B_2r", params, 2 * params.r) if params.mode == MODE_MULT else None
-    sk = SecretKey(
-        params=params,
-        points=points,
-        G=evaluation_matrix((B_r if B_2r is None else B_2r).index, ctx, points),
-        B_r=B_r,
-        B_2r=B_2r,
-        s=s,
-        p=p,
-        sigma_s=sigma,
-    )
+    index = MonomialIndex(params.ell, params.enc_degree())
+    try:
+        sk = SecretKey(params, points, evaluation_matrix(index, ctx, points), s, p, sigma)
+    except ValueError as exc:  # n below the ideal slice's dimension leaves no tail
+        raise FileFormatError("params", str(exc))
+    for field, B in (("B_r", sk.B_r), ("B_2r", sk.B_2r)):  # the params determine both
+        if B is not None and not np.array_equal(
+                _require_array(d, field, q, B.data.shape), B.data):
+            raise FileFormatError(field, "does not match the parameter ideal")
     if ctx.balanced(int(s.sum() % q)) != sigma:
         raise FileFormatError("sigma_s", "does not equal the balanced sum of s")
     if np.any(matmul_mod(sk.evaluated_basis(), s, q)):
         raise FileFormatError("s", "not orthogonal to the evaluated ideal basis")
     return sk
-
-
-def _require_basis(d: dict, field: str, params: SchemeParams, degree: int) -> IdealBasis:
-    """The ideal's degree-truncated basis, which ``d[field]`` must repeat."""
-    B = ideal_truncated_basis(params.ideal, degree)
-    if not np.array_equal(_require_array(d, field, params.q, B.data.shape), B.data):
-        raise FileFormatError(field, "does not match the parameter ideal")
-    return B
 
 
 def save_ciphertext(path, ct: Ciphertext, phash: str):

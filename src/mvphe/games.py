@@ -373,7 +373,7 @@ def lwe_subspace_instance(s: np.ndarray, q: int, noise: NoiseSpec) -> SubspaceIn
 def scheme_instance(sk: SecretKey) -> SubspaceInstance:
     """The scheme-induced instance: evaluated ideal subspace + scheme noise."""
     return SubspaceInstance(
-        n=sk.n, q=sk.params.q, basis=sk.evaluated_basis(), noise=sk.noise_spec()
+        n=sk.n, q=sk.params.q, basis=sk.evaluated_basis(), noise=sk.noise_spec
     )
 
 

@@ -43,22 +43,14 @@ _F64_FLOOR = 16384
 def dot_mod(a: np.ndarray, b: np.ndarray, q: int):
     """<a, b> mod q along the last axis: an int for two vectors, one value per
     row when one operand is a stack of rows and the other a vector. Operands
-    are int64 arrays of magnitude below q, vectors of length below 2^16.
+    are int64 arrays of magnitude below q.
 
-    One int64 product when n·(q−1)² fits in int64. Otherwise the vector is
-    split into 16-bit limbs, [v >> 16, v & 0xFFFF], and multiplied as one
-    n×2 array: each column sum stays below n·2^47.
+    This is :func:`matmul_mod` with the stack first and the vector as B.
     """
     if a.ndim > 1:
         a, b = b, a  # a is the vector
-    if _fits_int64(a.shape[-1], q):
-        t = b @ a % q
-        return int(t) if t.ndim == 0 else t
-    hl = b @ np.stack([a >> 16, a & 0xFFFF], axis=1)
-    if hl.ndim == 1:  # hl[..., 0] would be a 0-d array: combine in Python ints
-        h, l = hl.tolist()
-        return (h * 65536 + l) % q
-    return (hl[..., 0] % q * 65536 + hl[..., 1]) % q
+    t = matmul_mod(b, a, q)
+    return int(t) if t.ndim == 0 else t
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:

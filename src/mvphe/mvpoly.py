@@ -57,9 +57,6 @@ class MonomialIndex:
         except KeyError:
             raise ValueError(f"exponent {e} not admissible for ell={self.ell}, r={self.r}")
 
-    def exponent(self, position: int) -> Tuple[int, ...]:
-        return self.exponents[position]
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIndex)
@@ -108,7 +105,7 @@ class Polynomial:
     def terms(self) -> List[Tuple[int, Tuple[int, ...]]]:
         """Nonzero (coefficient, exponent) pairs in index order."""
         return [
-            (int(c), self.index.exponent(i))
+            (int(c), self.index.exponents[i])
             for i, c in enumerate(self.coeffs)
             if c
         ]
@@ -118,16 +115,7 @@ class Polynomial:
         nz = np.nonzero(self.coeffs)[0]
         if len(nz) == 0:
             return float("-inf")
-        return max(sum(self.index.exponent(i)) for i in nz)
-
-    def reindex(self, new_index: MonomialIndex) -> "Polynomial":
-        """Inject into another index over the same variables."""
-        if new_index.ell != self.index.ell:
-            raise ValueError("variable count mismatch")
-        out = np.zeros(new_index.size, dtype=np.int64)
-        for coeff, exps in self.terms():
-            out[new_index.position(exps)] = coeff
-        return Polynomial(new_index, self.ctx, out)
+        return max(sum(self.index.exponents[i]) for i in nz)
 
     def __eq__(self, other):
         return (

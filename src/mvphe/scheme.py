@@ -20,7 +20,7 @@ orthogonal to the evaluated degree-2r slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Tuple
 
@@ -196,23 +196,36 @@ class NoiseBudget:
 
 @dataclass
 class SecretKey:
+    """A key: its n points, the evaluation matrix G at them, the secret s and
+    the scales p and sigma_s. Construction derives everything else from the
+    params once: the bases B_r and B_2r (None in additive mode), d_r,
+    head_len and tail_len, enc_basis and noise_spec."""
+
     params: SchemeParams
     points: np.ndarray          # n x ell
-    G: np.ndarray               # n x N_mode evaluation matrix
-    B_r: IdealBasis             # d_r x C(ell+r, r)
-    B_2r: Optional[IdealBasis]  # d_2r x C(ell+2r, 2r), mult mode only
+    G: np.ndarray               # n x N_enc evaluation matrix
     s: np.ndarray               # length n, canonical residues
     p: int
     sigma_s: int                # positive integer, balanced sum of s entries
-    _enc_basis: Optional[np.ndarray] = dfield(default=None, repr=False)
-    _noise_spec: Optional[NoiseSpec] = dfield(default=None, repr=False)
-    # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
-    # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the limb
-    # sums of c @ S stay below n·2^47, exact for every n < 2^16
-    _s_limbs: Optional[np.ndarray] = dfield(init=False, repr=False)
 
     def __post_init__(self):
-        self._s_limbs = (None if _fits_int64(self.n, self.params.q)
+        params = self.params
+        self.B_r = ideal_truncated_basis(params.ideal, params.r)  # d_r x C(ell+r, r)
+        # the slice s annihilates, of degree enc_degree(): B_r, or B_2r in mult mode
+        self._B_enc = ideal_truncated_basis(params.ideal, params.enc_degree())
+        self.B_2r = self._B_enc if params.enc_degree() > params.r else None
+        self.d_r, self.head_len = self.B_r.rows, self._B_enc.rows
+        self.tail_len = self.n - self.head_len
+        # B_r zero-extended to G's columns: grlex lists the degree <= r
+        # monomials first, so they are a prefix of the degree-2r index
+        self.enc_basis = np.zeros((self.d_r, self.G.shape[1]), dtype=np.int64)
+        self.enc_basis[:, : self.B_r.index.size] = self.B_r.data
+        # noise lands on the tail only, the coordinates that s2 reads
+        self.noise_spec = NoiseSpec(params.alpha_f, params.q, self.tail_len)
+        # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
+        # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the
+        # limb sums of c @ S stay below n·2^47, exact for every n < 2^16
+        self._s_limbs = (None if _fits_int64(self.n, params.q)
                          else np.stack([self.s >> 16, self.s & 0xFFFF], axis=1))
 
     @property
@@ -224,21 +237,8 @@ class SecretKey:
         return self.params.n
 
     @property
-    def d_r(self) -> int:
-        return self.B_r.rows
-
-    @property
     def d_2r(self) -> Optional[int]:
         return None if self.B_2r is None else self.B_2r.rows
-
-    @property
-    def head_len(self) -> int:
-        """Length of s1 = number of evaluated-basis dimensions."""
-        return self.d_r if self.params.mode == MODE_ADDITIVE else self.d_2r
-
-    @property
-    def tail_len(self) -> int:
-        return self.n - self.head_len
 
     @property
     def s2(self) -> np.ndarray:
@@ -248,34 +248,15 @@ class SecretKey:
     def s2_norm(self) -> float:
         return float(np.linalg.norm(self.ctx.balanced(self.s2)))
 
-    def noise_spec(self) -> NoiseSpec:
-        """Noise lands on the tail only, the coordinates that s2 reads (cached)."""
-        if self._noise_spec is None:
-            self._noise_spec = NoiseSpec(self.params.alpha_f, self.params.q, self.tail_len)
-        return self._noise_spec
-
-    def enc_basis(self) -> np.ndarray:
-        """B_r rows injected into the key's evaluation index (cached)."""
-        if self._enc_basis is None:
-            if self.params.mode == MODE_ADDITIVE:
-                self._enc_basis = self.B_r.data
-            else:
-                dst = self.B_2r.index
-                cols = [dst.position(e) for e in self.B_r.index.exponents]
-                wide = np.zeros((self.d_r, dst.size), dtype=np.int64)
-                wide[:, cols] = self.B_r.data
-                self._enc_basis = wide
-        return self._enc_basis
-
     def evaluated_basis(self) -> np.ndarray:
         """Rows span the evaluated ideal subspace the secret annihilates."""
-        B = self.B_r if self.params.mode == MODE_ADDITIVE else self.B_2r
-        return matmul_mod(B.data, self.G.T, self.params.q)
+        return matmul_mod(self._B_enc.data, self.G.T, self.params.q)
 
 
-def feasibility(params: SchemeParams) -> Tuple[IdealBasis, Optional[IdealBasis], int, int]:
-    """The key's bases B_r and B_2r (None in additive mode) and the admissible
-    range [lo, hi] of sigma_s*p; keygen and check-params both decide by it.
+def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]:
+    """The basis B_r, the basis B of the slice the key annihilates (degree
+    enc_degree(): B_r itself in additive mode) and the admissible range
+    [lo, hi] of sigma_s*p; keygen and check-params both decide by it.
 
     Raises KeyGenError("dimension") unless dim(ideal slice) < n <= N_enc, and
     ParameterInfeasibleError("scale") when even the best case |s2| = 1 (that
@@ -283,17 +264,16 @@ def feasibility(params: SchemeParams) -> Tuple[IdealBasis, Optional[IdealBasis],
     """
     q, n, h = params.q, params.n, float(params.headroom)
     B_r = ideal_truncated_basis(params.ideal, params.r)
-    B_2r = ideal_truncated_basis(params.ideal, 2 * params.r) if params.mode == MODE_MULT else None
-    head_len = B_r.rows if B_2r is None else B_2r.rows
-    N_mode = monomial_count(params.ell, params.enc_degree())
-    if not (head_len < n <= N_mode):
-        raise KeyGenError("dimension", f"need dim(ideal slice)={head_len} < n={n} <= {N_mode}")
+    B = ideal_truncated_basis(params.ideal, params.enc_degree())
+    N_enc = B.index.size
+    if not (B.rows < n <= N_enc):
+        raise KeyGenError("dimension", f"need dim(ideal slice)={B.rows} < n={n} <= {N_enc}")
     lo = math.floor(2.0 * h * params.alpha_f * q / math.sqrt(params.epsilon_f)) + 1
     hi = math.floor((q // 2) / h)
     if lo > hi:
         raise ParameterInfeasibleError(
             "scale", f"smallest admissible sigma_s*p={lo} exceeds floor(q/2)/h = {hi}")
-    return B_r, B_2r, lo, hi
+    return B_r, B, lo, hi
 
 
 def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
@@ -310,9 +290,8 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     """
     ctx = params.ctx()
     q, n = params.q, params.n
-    B_r, B_2r, _, _ = feasibility(params)
-    B_mode = B_r if B_2r is None else B_2r
-    d_r, head_len = B_r.rows, B_mode.rows
+    B_r, B, _, _ = feasibility(params)
+    d_r, head_len = B_r.rows, B.rows
 
     point_stream = stream.derive(0)
     tail_stream = stream.derive(1)
@@ -320,17 +299,17 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
 
     for _ in range(_POINT_ATTEMPTS):
         points = _sample_distinct_points(point_stream, q, n, params.ell)
-        G = evaluation_matrix(B_mode.index, ctx, points)
+        G = evaluation_matrix(B.index, ctx, points)
         # condition 2: the first d_r points separate the degree-r ideal slice,
         # and the first head_len points the evaluated one, whose matrix is the
-        # head of V = B_mode·Gᵀ (E_2r; in additive mode E_r itself). One
+        # head of V = B·Gᵀ (E_2r; in additive mode E_r itself). One
         # elimination of V checks the head and gives s1 = K·s2 for every s2.
-        if B_2r is not None:
+        if params.mode == MODE_MULT:
             E_r = matmul_mod(B_r.data, evaluation_matrix(B_r.index, ctx, points[:d_r]).T, q)
             if rank(E_r, q) != d_r:
                 failures["condition2"] += 1
                 continue
-        V = matmul_mod(B_mode.data, G.T, q)
+        V = matmul_mod(B.data, G.T, q)
         K = orthogonal_head_map(V, head_len, q)
         if K is None:
             failures["condition2"] += 1
@@ -345,16 +324,7 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
             failures["tail"] += 1
             continue
         s, sigma, p = found
-        return SecretKey(
-            params=params,
-            points=points,
-            G=G,
-            B_r=B_r,
-            B_2r=B_2r,
-            s=s,
-            p=p,
-            sigma_s=sigma,
-        )
+        return SecretKey(params, points, G, s, p, sigma)
 
     worst = max(failures, key=failures.get)
     raise KeyGenError(
@@ -364,9 +334,9 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
 
 
 def _full_row_rank(G: np.ndarray, K: np.ndarray, q: int) -> bool:
-    """Condition 1, rank(G) = n, read off the head map K of V = B_mode·Gᵀ.
+    """Condition 1, rank(G) = n, read off the head map K of V = B·Gᵀ.
 
-    Every λ with λᵀG ≡ 0 has V·λ = B_mode·(λᵀG)ᵀ ≡ 0, and V's pivots are its
+    Every λ with λᵀG ≡ 0 has V·λ = B·(λᵀG)ᵀ ≡ 0, and V's pivots are its
     first head_len columns, so λ = (K·μ, μ) with μ ≠ 0 when λ ≠ 0. Hence G
     has full row rank exactly when the N × tail_len product
     Gᵀ·[K; I] = G_headᵀ·K + G_tailᵀ has rank tail_len.
@@ -459,8 +429,8 @@ def _encrypt_rows(sk: SecretKey, bits: np.ndarray, stream: RandomStream):
     """
     q = sk.params.q
     U = stream.uniform_fq(q, size=(len(bits), sk.d_r))
-    F = matmul_mod(U, sk.enc_basis(), q)
-    E = sample_noise_vector(stream, sk.noise_spec(), (len(bits), sk.n))
+    F = matmul_mod(U, sk.enc_basis, q)
+    E = sample_noise_vector(stream, sk.noise_spec, (len(bits), sk.n))
     C = matmul_mod(sk.G, F.T, q)  # n×k: one column per bit until the end
     C += E.T
     C += sk.p * bits
@@ -493,26 +463,37 @@ def _check_key_match(sk: SecretKey, ct: Ciphertext):
                          f"(n={sk.n}, q={sk.params.q})")
 
 
+def _phase_residue(sk: SecretKey, ct: Ciphertext, m):
+    """(<s, c> - m * sigma_s * p) mod q, reduced once: one value, or one per
+    row of a stack (m then holds one multiple per row).
+
+    <s, c> is one int64 product, c @ s; where that could overflow, one
+    product c @ [s >> 16, s & 0xFFFF], whose column sums stay below n·2^47."""
+    _check_key_match(sk, ct)
+    q, S, shift = sk.params.q, sk._s_limbs, m * sk.sigma_s * sk.p
+    if S is None:
+        return (ct.c @ sk.s - shift) % q
+    hl = ct.c @ S
+    if hl.ndim == 1:  # hl[..., 0] would be 0-d arrays: combine in Python ints
+        h, l = hl.tolist()
+        return (h * 65536 + l - shift) % q
+    return (hl[:, 0] % q * 65536 + hl[:, 1] - shift) % q
+
+
+def _balanced(x, q: int):
+    """The balanced view in (-q/2, q/2] of residues in [0, q): one np.where
+    for an array, an int for one value."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > q // 2, x - q, x)
+    x = int(x)
+    return x - q if x > q // 2 else x
+
+
 def noise_measure(sk: SecretKey, ct: Ciphertext, m):
     """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
     message multiple m (0/1 fresh; up to the add count after additions).
-    For a stack of ciphertext rows, m and the result hold one value per row.
-
-    <s, c> is one int64 product, c @ s, reduced once; where that could
-    overflow, one product c @ [s >> 16, s & 0xFFFF], whose column sums stay
-    below n·2^47."""
-    _check_key_match(sk, ct)
-    q, S = sk.params.q, sk._s_limbs
-    if S is None:
-        phase = ct.c @ sk.s % q
-    else:
-        hl = ct.c @ S
-        if hl.ndim == 1:  # hl[..., 0] would be 0-d arrays: combine in Python ints
-            h, l = hl.tolist()
-            phase = (h * 65536 + l) % q
-        else:
-            phase = (hl[:, 0] % q * 65536 + hl[:, 1]) % q
-    return sk.ctx.balanced((phase - m * sk.sigma_s * sk.p) % q)
+    For a stack of ciphertext rows, m and the result hold one value per row."""
+    return _balanced(_phase_residue(sk, ct, m), sk.params.q)
 
 
 def _phase_bit(sk: SecretKey, phase):
@@ -652,10 +633,10 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
     tally = {op: _NoiseTally(trials) for op in ops}
 
     def measure(op, ct, multiple, bit):
-        # one <s, c> per row: the noise and the decrypted bit share its phase
-        phase = noise_measure(sk, ct, 0)
-        tally[op].add(sk.ctx.balanced(phase - multiple * sk.sigma_s * sk.p),
-                      int(np.count_nonzero(_phase_bit(sk, phase) != bit)))
+        # one <s, c> per row: the noise and the decrypted bit share its residue
+        phase = _phase_residue(sk, ct, 0)
+        tally[op].add(_balanced((phase - multiple * sk.sigma_s * sk.p) % q, q),
+                      int(np.count_nonzero(_phase_bit(sk, _balanced(phase, q)) != bit)))
 
     for b, start in enumerate(range(0, trials, _BENCH_BLOCK)):
         k = min(_BENCH_BLOCK, trials - start)

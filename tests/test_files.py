@@ -8,6 +8,7 @@ from mvphe.files import (
     load_evalkey,
     load_key,
     load_params,
+    params_from_dict,
     params_hash,
     save_ciphertext,
     save_evalkey,
@@ -89,3 +90,33 @@ def test_a_stack_of_ciphertexts_is_not_saved_as_one(tmp_path, toy_key):
     with pytest.raises(ValueError, match="one ciphertext"):
         save_ciphertext(tmp_path / "ct.json", stack, params_hash(toy_key.params))
     assert not (tmp_path / "ct.json").exists()
+
+
+@pytest.mark.parametrize("key, field", [("toy_key", "B_r"), ("mult_key", "B_r"),
+                                        ("mult_key", "B_2r")])
+def test_key_file_with_a_foreign_basis_names_it(tmp_path, request, key, field):
+    # a well-formed basis that is not the params ideal's truncated basis
+    sk = request.getfixturevalue(key)
+    path = tmp_path / "key.json"
+    save_key(path, sk)
+    d = json.loads(path.read_text())
+    d[field][0][0] = (d[field][0][0] + 1) % sk.params.q
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError) as exc:
+        load_key(path)
+    assert exc.value.field == field
+
+
+def test_key_file_with_n_below_the_ideal_slice_names_params(tmp_path, toy_key):
+    # params that validate, but leave s no tail beyond the evaluated basis
+    path = tmp_path / "key.json"
+    save_key(path, toy_key)
+    d = json.loads(path.read_text())
+    n = toy_key.head_len - 1
+    d["params"]["n"] = n
+    d["params_hash"] = params_hash(params_from_dict(d["params"]))
+    d["points"], d["s"] = d["points"][:n], d["s"][:n]
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError) as exc:
+        load_key(path)
+    assert exc.value.field == "params"

@@ -65,10 +65,18 @@ def test_index_bijectivity(ell, r):
     idx = MonomialIndex(ell, r)
     assert idx.size == monomial_count(ell, r)
     for pos in range(idx.size):
-        e = idx.exponent(pos)
+        e = idx.exponents[pos]
         assert idx.position(e) == pos
     with pytest.raises(ValueError):
         idx.position((r + 1,) + (0,) * (ell - 1))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_degree_r_index_is_a_prefix_of_degree_2r(ell, r):
+    # SecretKey.enc_basis zero-extends B_r to the degree-2r columns by this
+    low = MonomialIndex(ell, r)
+    assert MonomialIndex(ell, 2 * r).exponents[: math.comb(ell + r, r)] == low.exponents
 
 
 def test_eval_monomials_examples():
@@ -156,7 +164,9 @@ def test_poly_mul_examples():
     one = Polynomial.from_terms(idx, CTX, [(1, (0, 0))])
     rng = np.random.default_rng(3)
     f = Polynomial(idx, CTX, rng.integers(0, Q, size=idx.size))
-    assert poly_mul(f, one) == f.reindex(MonomialIndex(2, 4))
+    # grlex lists degree <= 2 first, so f sits in the prefix of the degree-4 index
+    prod = poly_mul(f, one).coeffs
+    assert np.array_equal(prod[: idx.size], f.coeffs) and not np.any(prod[idx.size :])
 
 
 def test_poly_mul_pointwise_identity():

@@ -235,6 +235,37 @@ def test_eval_key_golden_bytes(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _enc_basis_by_position(sk):
+    """B_r's rows placed column by column at their exponents' positions in
+    G's monomial index."""
+    dst = MonomialIndex(sk.params.ell, sk.params.enc_degree())
+    wide = np.zeros((sk.d_r, dst.size), dtype=np.int64)
+    wide[:, [dst.position(e) for e in sk.B_r.index.exponents]] = sk.B_r.data
+    return wide
+
+
+@pytest.mark.parametrize("key", ["toy_key", "mult_key", "q31_key"])
+def test_enc_basis_is_b_r_at_its_monomials_positions(key, request):
+    sk = request.getfixturevalue(key)
+    assert np.array_equal(sk.enc_basis, _enc_basis_by_position(sk))
+
+
+@pytest.mark.parametrize("key", ["toy_key", "mult_key", "q31_key"])
+def test_loaded_key_derives_what_keygen_built(key, request, tmp_path):
+    from mvphe.files import load_key, save_key
+
+    sk = request.getfixturevalue(key)
+    save_key(tmp_path / "key.json", sk)
+    back = load_key(tmp_path / "key.json")
+    for name in ("head_len", "tail_len", "d_r", "d_2r", "noise_spec"):
+        assert getattr(back, name) == getattr(sk, name), name
+    for name in ("G", "enc_basis", "s", "_s_limbs"):  # _s_limbs may be None on both
+        assert np.array_equal(getattr(back, name), getattr(sk, name)), name
+    for name in ("B_r", "B_2r"):
+        data = [getattr(getattr(k, name), "data", None) for k in (back, sk)]
+        assert np.array_equal(*data), name
+
+
 def test_additive_key_invariants(toy_key):
     sk = toy_key
     q = sk.params.q
@@ -796,6 +827,23 @@ def test_noise_measure_decision_radius(toy_key):
         m = i & 1
         inside += abs(noise_measure(sk, encrypt(sk, m, stream.derive(i)), m)) < radius
     assert inside / 2000 >= 1 - 0.01
+
+
+@pytest.mark.parametrize("key", ["toy_key", "q31_key"])
+def test_noise_measure_at_the_edges_of_the_balanced_window(key, request):
+    # rows whose phase <s, c> is q//2 and q//2 + 1: the balanced view keeps
+    # the first and wraps the second, for a row and for a stack alike
+    sk = request.getfixturevalue(key)
+    q, half = sk.params.q, sk.params.q // 2
+    j = next(i for i in range(sk.head_len, sk.n) if sk.s[i])
+    rows = np.zeros((2, sk.n), dtype=np.int64)
+    rows[:, j] = [x * pow(int(sk.s[j]), -1, q) % q for x in (half, half + 1)]
+    assert [noise_measure(sk, Ciphertext(row, q), 0) for row in rows] == [half, -half]
+    assert noise_measure(sk, Ciphertext(rows, q), np.zeros(2, dtype=np.int64)).tolist() == [
+        half, -half]
+    scale = sk.sigma_s * sk.p  # the multiple is folded into the same reduction
+    assert noise_measure(sk, Ciphertext(rows, q), np.ones(2, dtype=np.int64)).tolist() == [
+        sk.ctx.balanced(x - scale) for x in (half, half + 1)]
 
 
 def test_noise_budget_fields(toy_key, toy_key_noiseless):
