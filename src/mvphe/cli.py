@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", choices=("lemma1", "theorem1"))
     p.add_argument("--params", help="parameter file for scheme-based games")
     p.add_argument("--n", type=int, default=12, help="synthetic instance dimension, at least 1")
-    p.add_argument("--l", type=int, default=6, help="synthetic subspace dimension")
+    p.add_argument("--l", type=int, default=6, help="synthetic subspace dimension, 1 <= l < n")
     p.add_argument("--q", type=int, default=10007,
                    help="prime modulus below 2^31 of the hsm and dlwe games and "
                         "lemma1; indcpa takes q from --params")

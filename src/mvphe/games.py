@@ -266,12 +266,9 @@ class _HsmViewOfDlwe:
         self.n = dlwe_oracles.n + 1
         self.q = dlwe_oracles.q
         self.leak = dlwe_oracles.leak
-        self.transcript = []
 
     def _convert(self, A, b):
-        V = np.hstack([A, ((-b) % self.q)[:, None]])
-        self.transcript.extend(zip(A, b, V))
-        return V
+        return np.hstack([A, ((-b) % self.q)[:, None]])
 
     def samples(self, k: int) -> np.ndarray:
         return self._convert(*self._inner.samples(k))
@@ -289,12 +286,9 @@ class Lemma1Adversary:
 
     def __init__(self, hsm_adversary):
         self.inner = hsm_adversary
-        self.last_view: Optional[_HsmViewOfDlwe] = None
 
     def run(self, oracles: DlweOracles, stream: RandomStream) -> int:
-        view = _HsmViewOfDlwe(oracles)
-        self.last_view = view
-        return self.inner.run(view, stream)
+        return self.inner.run(_HsmViewOfDlwe(oracles), stream)
 
 
 class _IndCpaViewOfHsm:
@@ -309,21 +303,16 @@ class _IndCpaViewOfHsm:
         self.gamma = gamma
         self.n, self.q = hsm_oracles.n, hsm_oracles.q
         self.leak = leak
-        self.transcript = []
 
     def encrypt_zeros(self, k: int) -> np.ndarray:
         """k Sample outputs as rows, from one batched Sample call."""
-        V = self._inner.samples(k)
-        self.transcript.extend(("encrypt_zero", v, v) for v in V)
-        return V
+        return self._inner.samples(k)
 
     def left_right(self, m0: int, m1: int) -> Ciphertext:
         _check_challenge_messages(m0, m1)
         v = self._inner.challenge()
         m = (m0, m1)[self.gamma]
-        c = (v + self.p * m) % self.q
-        self.transcript.append(("left_right", v, c))
-        return Ciphertext(c, self.q)
+        return Ciphertext((v + self.p * m) % self.q, self.q)
 
 
 class Theorem1Adversary:
@@ -335,12 +324,10 @@ class Theorem1Adversary:
         self.inner = indcpa_adversary
         self.p = p
         self.leak = leak
-        self.last_view: Optional[_IndCpaViewOfHsm] = None
 
     def run(self, oracles: HsmOracles, stream: RandomStream) -> int:
         gamma = stream.coin()
         view = _IndCpaViewOfHsm(oracles, self.p, gamma, self.leak)
-        self.last_view = view
         guess = self.inner.run(view, stream.derive(0))
         return 1 if guess == gamma else 0
 
@@ -351,6 +338,8 @@ class Theorem1Adversary:
 def uniform_subspace_instance(n: int, q: int, l: int, noise: NoiseSpec,
                               stream: RandomStream) -> SubspaceInstance:
     """A uniformly random l-dimensional subspace (synthetic HSM instances)."""
+    if not (1 <= l < n):
+        raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
     for _ in range(64):
         try:  # the instance's own rank check is the one elimination
             return SubspaceInstance(n=n, q=q, basis=stream.uniform_fq(q, size=(l, n)), noise=noise)

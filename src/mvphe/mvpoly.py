@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .field import FieldContext
-from .linalg import dot_mod, rref
+from .linalg import rref
 
 MONOMIAL_ORDER = "grlex"
 
@@ -85,10 +85,6 @@ class Polynomial:
         self.coeffs = c
 
     @classmethod
-    def zero(cls, index: MonomialIndex, ctx: FieldContext) -> "Polynomial":
-        return cls(index, ctx, np.zeros(index.size, dtype=np.int64))
-
-    @classmethod
     def from_terms(
         cls,
         index: MonomialIndex,
@@ -150,19 +146,6 @@ def evaluation_matrix(
     for v in range(1, index.ell):
         G = G * pows[:, v, E[:, v]] % ctx.q
     return G
-
-
-def eval_monomials(index: MonomialIndex, ctx: FieldContext, z: Sequence[int]) -> np.ndarray:
-    """All degree-<=r monomials evaluated at one point; one row of G."""
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (index.ell,):
-        raise ValueError(f"point must have {index.ell} coordinates, got {z.shape}")
-    return evaluation_matrix(index, ctx, z.reshape(1, -1))[0]
-
-
-def poly_eval(f: Polynomial, z: Sequence[int]) -> int:
-    """f(z) in [0, q): the inner product of coefficients with the monomial row."""
-    return dot_mod(f.coeffs, eval_monomials(f.index, f.ctx, z), f.ctx.q)
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:

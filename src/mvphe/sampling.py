@@ -94,8 +94,8 @@ class NoiseSpec:
     support_len: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.support_len < 0:
             raise ValueError(f"support_len must be >= 0, got {self.support_len}")
 

@@ -20,6 +20,7 @@ orthogonal to the evaluated degree-2r slice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Tuple
@@ -88,12 +89,13 @@ class SchemeParams:
                 f"n={self.n} exceeds the evaluation dimension "
                 f"{monomial_count(self.ell, self.enc_degree())} for mode {self.mode}"
             )
-        if float(self.alpha) < 0:
-            raise ValueError("alpha must be >= 0")
-        if not (0 < float(self.epsilon) < 1):
+        # is_finite() first: float() of a signalling NaN raises
+        if not (self.alpha.is_finite() and 0 <= float(self.alpha) < math.inf):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (self.epsilon.is_finite() and 0 < float(self.epsilon) < 1):
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.headroom < 1:
-            raise ValueError("headroom must be >= 1")
+        if not (1 <= self.headroom <= sys.float_info.max):  # an int may exceed it too
+            raise ValueError(f"headroom must be finite and >= 1, got {self.headroom}")
         if self.ideal.ctx.q != self.q or self.ideal.ell != self.ell:
             raise ValueError("ideal generators must live over (ell, q)")
         if self.ideal.max_degree() > self.r:

@@ -11,6 +11,7 @@ from mvphe.files import (
     load_key,
     load_params,
     params_hash,
+    params_to_dict,
     save_ciphertext,
     save_evalkey,
     save_key,
@@ -360,6 +361,40 @@ def test_game_refuses_n_below_one_naming_it(game, n, capsys):
     assert main(["game", *game, "--trials", "100", "--seed", "1", "--n", str(n)]) == 3
     captured = capsys.readouterr()
     assert f"n must be >= 1, got {n}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("l", [-1, 0, 12])
+def test_game_hsm_refuses_l_outside_1_to_n(l, capsys):
+    assert main(["game", "hsm", "--trials", "100", "--seed", "1", "--l", str(l)]) == 3
+    captured = capsys.readouterr()
+    assert f"need 1 <= l < n, got l={l}, n=12" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("alpha_q", ["nan", "inf"])
+@pytest.mark.parametrize("game", ["hsm", "dlwe"])
+def test_game_refuses_non_finite_alpha_q(game, alpha_q, capsys):
+    assert main(["game", game, "--trials", "100", "--seed", "1", "--alpha-q", alpha_q]) == 3
+    captured = capsys.readouterr()
+    assert "alpha must be finite" in captured.err and captured.out == ""
+
+
+# json.dumps writes float('inf') and float('nan') as the literals Infinity and
+# NaN, which json.loads accepts
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "Infinity"), ("alpha", "1e400"), ("alpha", "NaN"), ("alpha", "sNaN"),
+    ("headroom", float("inf")), ("headroom", float("nan")), ("headroom", 10**400),
+    ("epsilon", "sNaN"),
+])
+@pytest.mark.parametrize("command", ["check-params", "keygen"])
+def test_non_finite_params_exit3_naming_the_field(tmp_path, command, field, value, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**params_to_dict(toy_additive_params()), field: value}))
+    argv = ["check-params", "--params", str(path)]
+    if command == "keygen":
+        argv = ["keygen", "--params", str(path), "--seed", "1", "--out", str(tmp_path / "k.json")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"'params': {field} must" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("reduction", [[], ["--reduction", "theorem1"]])

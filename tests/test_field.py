@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvphe import FieldContext, round_nearest
+from mvphe.field import FieldContext, round_nearest
 
 
 def test_inverse_examples_q7():

@@ -13,21 +13,13 @@ from mvphe import (
     NoiseSpec,
     ProtocolViolationError,
     RandomStream,
-    SubspaceInstance,
-    dlwe_game,
     dot_mod,
     estimate_advantage,
-    hsm_game,
     indcpa_game,
     joint_ci,
     keygen,
-    Lemma1Adversary,
     lemma1_experiment,
-    lwe_subspace_instance,
-    scheme_instance,
-    Theorem1Adversary,
     theorem1_experiment,
-    uniform_subspace_instance,
 )
 from mvphe.adversaries import (
     IndCpaRankAdversary,
@@ -38,7 +30,21 @@ from mvphe.adversaries import (
     RankMembershipAdversary,
 )
 from mvphe import games
-from mvphe.games import SAMPLE_CAP, DlweOracles, HsmOracles, IndCpaOracles, Leak
+from mvphe.games import (
+    SAMPLE_CAP,
+    DlweOracles,
+    HsmOracles,
+    IndCpaOracles,
+    Leak,
+    Lemma1Adversary,
+    SubspaceInstance,
+    Theorem1Adversary,
+    dlwe_game,
+    hsm_game,
+    lwe_subspace_instance,
+    scheme_instance,
+    uniform_subspace_instance,
+)
 from mvphe.linalg import in_rowspace
 from mvphe.presets import toy_additive_params, toy_ideal
 
@@ -264,13 +270,47 @@ def test_dlwe_oracle_golden_draws(beta, digest):
 # ---------------------------------------------------------------------------
 # lemma1 adapter
 
+class _Recording:
+    """Inner adversary of a reduction adapter: runs ``inner`` against the
+    adapter's view and keeps each reply the view served, as (method, args,
+    reply), and the inner adversary's guess."""
+
+    def __init__(self, inner):
+        self.inner, self.served, self.guess = inner, [], None
+
+    def run(self, view, stream):
+        served = self.served
+
+        class RecordedView:
+            def __getattr__(self, name):
+                attr = getattr(view, name)
+                if not callable(attr):
+                    return attr
+
+                def call(*args):
+                    reply = attr(*args)
+                    served.append((name, args, reply))
+                    return reply
+
+                return call
+
+        self.guess = self.inner.run(RecordedView(), stream)
+        return self.guess
+
+    def replies(self, name):
+        return [reply for method, _, reply in self.served if method == name]
+
+
 def test_lemma1_transcript_is_a_minus_b():
     oracles = DlweOracles(6, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120))
-    wrapped = Lemma1Adversary(RankMembershipAdversary())
-    wrapped.run(oracles, RandomStream(121))
-    view = wrapped.last_view
-    assert view.transcript, "adapter recorded no queries"
-    for a, b, vec in view.transcript:
+    inner = _Recording(RankMembershipAdversary())
+    Lemma1Adversary(inner).run(oracles, RandomStream(121))
+    # every DLWE row (a, b) the view drew reached the inner adversary as (a, -b)
+    rows = np.vstack(inner.replies("samples") + inner.replies("challenge"))
+    drawn = [(a, b) for _, a, b, _ in oracles.audit]
+    assert oracles.audit[-1][0] == "challenge"
+    assert len(rows) == len(drawn) == (6 + 1) + 8 + 1  # n + 8 samples, then Challenge
+    for vec, (a, b) in zip(rows, drawn):
         assert np.array_equal(vec[:-1], a)
         assert vec[-1] == (-b) % Q
 
@@ -389,19 +429,29 @@ def test_indcpa_rank_adversary_asks_once_for_its_samples(toy_key, monkeypatch):
 # ---------------------------------------------------------------------------
 # theorem1 adapter
 
+def _theorem1_run(toy_key, seed):
+    """Theorem 1's adapter around a recorded IndCpaRankAdversary, on fresh
+    HSM oracles: (oracles, recorded inner adversary, the adapter's gamma)."""
+    orc = HsmOracles(scheme_instance(toy_key), RandomStream(seed))
+    inner = _Recording(IndCpaRankAdversary())
+    won = Theorem1Adversary(inner, toy_key.p, Leak(p=toy_key.p)).run(orc, RandomStream(seed + 1))
+    # the adapter answers 1 exactly when the inner guess equals its gamma
+    return orc, inner, inner.guess if won else 1 - inner.guess
+
+
 def test_theorem1_transcripts(toy_key):
-    inst = scheme_instance(toy_key)
-    wrapped = Theorem1Adversary(IndCpaRankAdversary(), toy_key.p, Leak(p=toy_key.p))
-    hsm_game(inst, wrapped, RandomStream(131))
-    view = wrapped.last_view
-    enc_zero = [t for t in view.transcript if t[0] == "encrypt_zero"]
-    lr = [t for t in view.transcript if t[0] == "left_right"]
-    assert enc_zero and lr
-    for _, sample_out, reply in enc_zero:
-        assert np.array_equal(sample_out, reply)  # bitwise the Sample output
-    _, challenge_out, reply = lr[0]
-    shift = (reply - challenge_out) % Q
-    assert np.all((shift == 0) | (shift == toy_key.p * view.gamma % Q))
+    orc, inner, gamma = _theorem1_run(toy_key, 131)
+    assert [(method, args) for method, args, _ in inner.served] == [
+        ("encrypt_zeros", (toy_key.n + 8,)), ("left_right", (0, 1))
+    ]
+    (served,) = inner.replies("encrypt_zeros")
+    samples = [out for kind, _, _, out in orc.audit if kind == "sample"]
+    assert np.array_equal(served, samples)  # bitwise the Sample outputs
+    # the left-right reply is the challenge plus p * m_gamma * 1, m_gamma = gamma
+    (kind, _, _, challenge_out) = orc.audit[-1]
+    (reply,) = inner.replies("left_right")
+    assert kind == "challenge"
+    assert np.array_equal(reply.c, (challenge_out + toy_key.p * gamma) % Q)
 
 
 @pytest.mark.parametrize("m0, m1", [(2, 0), (0, -1)])
@@ -447,12 +497,9 @@ def test_theorem1_full_advantage_at_zero_noise(q):
 
 
 def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
-    inst = scheme_instance(toy_key)
-    wrapped = Theorem1Adversary(IndCpaRankAdversary(), toy_key.p, Leak(p=toy_key.p))
-    orc = HsmOracles(inst, RandomStream(139))
-    wrapped.run(orc, RandomStream(140))
+    orc, inner, _ = _theorem1_run(toy_key, 139)
     samples = [a[3] for a in orc.audit if a[0] == "sample"]
-    served = [t[2] for t in wrapped.last_view.transcript if t[0] == "encrypt_zero"]
+    (served,) = inner.replies("encrypt_zeros")
     assert len(samples) == len(served) == toy_key.n + 8
     assert all(np.array_equal(a, b) for a, b in zip(samples, served))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mvphe import (
-    RandomStream,
+from mvphe import RandomStream, linalg
+from mvphe.linalg import (
     dot_mod,
     in_rowspace,
     matmul_mod,
@@ -12,7 +12,6 @@ from mvphe import (
     rref,
     solve_linear,
 )
-from mvphe import linalg
 
 Q = 10007
 Q31 = 2**31 - 1

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mvphe import FieldContext, NoiseSpec, RandomStream, sample_noise_vector
-from mvphe.sampling import discrete_gaussian_vector
+from mvphe import FieldContext, NoiseSpec, RandomStream
+from mvphe.sampling import discrete_gaussian_vector, sample_noise_vector
 
 Q = 10007
 
@@ -95,6 +95,9 @@ def test_noise_spec_validation():
         NoiseSpec(alpha=-0.1, q=Q, support_len=1)
     with pytest.raises(ValueError):
         NoiseSpec(alpha=0.1, q=Q, support_len=-1)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            NoiseSpec(alpha=alpha, q=Q, support_len=1)
 
 
 def test_counter_advances():

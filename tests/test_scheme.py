@@ -27,18 +27,16 @@ from mvphe import (
     hom_mult,
     keygen,
     matmul_mod,
-    noise_bench,
     noise_budget,
     noise_measure,
     poly_mul,
-    rank,
 )
 from mvphe.field import round_nearest
-from mvphe.linalg import orthogonal_head_map
+from mvphe.linalg import orthogonal_head_map, rank
 from mvphe.mvpoly import ideal_truncated_basis
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
 from mvphe import scheme
-from mvphe.scheme import MODE_ADDITIVE, MODE_MULT
+from mvphe.scheme import MODE_ADDITIVE, MODE_MULT, noise_bench
 
 Q = TOY_Q
 
