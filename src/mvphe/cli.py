@@ -102,7 +102,18 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
+def _wrong_input_count(args) -> bool:
+    """add and mul take exactly two --in files; report any other count."""
+    if len(args.infiles) == 2:
+        return False
+    print(f"{args.command} takes exactly two --in files, got {len(args.infiles)}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_add(args) -> int:
+    if _wrong_input_count(args):
+        return EXIT_USAGE
     (c1, h1), (c2, h2) = (files.load_ciphertext(p) for p in args.infiles)
     if h1 != h2:
         raise FileFormatError("params_hash", "ciphertexts from different parameter sets")
@@ -112,6 +123,8 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    if _wrong_input_count(args):
+        return EXIT_USAGE
     (c1, h1), (c2, h2) = (files.load_ciphertext(p) for p in args.infiles)
     ek, he = files.load_evalkey(args.evalkey)
     if h1 != h2 or h1 != he:

@@ -6,7 +6,8 @@ Every game draws a hidden bit beta at initialization, serves Sample queries
 freely (up to a cap), answers exactly one Challenge, and scores the
 adversary's guess in Finalize. Sample queries come in batches: ``samples(k)``
 answers k of them from one k×n draw, and ``sample()`` is its k = 1 case. An
-adversary is any object with ``run(oracles, stream) -> guess_bit``.
+adversary is any object with ``run(oracles, stream) -> guess_bit``. The
+oracles keep no transcript: to see what they serve, wrap them.
 """
 
 from __future__ import annotations
@@ -90,15 +91,13 @@ def _check_challenge_messages(m0: int, m1: int):
 
 
 class _OracleBase:
-    """Hidden beta, one challenge, at most SAMPLE_CAP samples, audit
-    transcript."""
+    """Hidden beta (the stream's first draw), one challenge, <= SAMPLE_CAP samples."""
 
-    def __init__(self, stream: RandomStream, force_beta=None):
+    def __init__(self, stream: RandomStream):
         self._stream = stream
-        self.beta = int(force_beta) if force_beta is not None else stream.coin()
+        self.beta = stream.coin()
         self._challenged = False
         self._samples = 0
-        self.audit = []
         self.leak: Optional[Leak] = None
 
     def _count_sample(self, k: int):
@@ -119,25 +118,23 @@ class _OracleBase:
 
 
 class HsmOracles(_OracleBase):
-    def __init__(self, instance: SubspaceInstance, stream, force_beta=None):
-        super().__init__(stream, force_beta)
+    def __init__(self, instance: SubspaceInstance, stream):
+        super().__init__(stream)
         self.instance = instance
         self.n, self.q = instance.n, instance.q
 
-    def _noisy_members(self, k: int):
-        """Rows V + E: V = U·B from one k×dim draw U, then noise E of shape (k, n)."""
+    def _noisy_members(self, k: int) -> np.ndarray:
+        """Rows U·B + E: U from one k×dim draw, then noise E of shape (k, n)."""
         U = self._stream.uniform_fq(self.q, size=(k, self.instance.dim))
         V = matmul_mod(U, self.instance.basis, self.q)
         E = sample_noise_vector(self._stream, self.instance.noise, (k, self.n))
-        return V, E, (V + E) % self.q
+        return (V + E) % self.q
 
     def samples(self, k: int) -> np.ndarray:
         """k Sample outputs, the rows of one k×n batch; all k count against
         the sample cap before anything is drawn."""
         self._count_sample(k)
-        V, E, out = self._noisy_members(k)
-        self.audit.extend(("sample", v, e, o) for v, e, o in zip(V, E, out))
-        return out
+        return self._noisy_members(k)
 
     def sample(self) -> np.ndarray:
         return self.samples(1)[0]
@@ -145,37 +142,30 @@ class HsmOracles(_OracleBase):
     def challenge(self) -> np.ndarray:
         self._claim_challenge()
         if self.beta == 1:
-            v, e, out = (x[0] for x in self._noisy_members(1))
-        else:
-            out = self._stream.uniform_fq(self.q, size=self.n)
-            v, e = None, None
-        self.audit.append(("challenge", v, e, out))
-        return out
+            return self._noisy_members(1)[0]
+        return self._stream.uniform_fq(self.q, size=self.n)
 
 
 class DlweOracles(_OracleBase):
-    def __init__(self, n: int, q: int, noise: NoiseSpec, stream, force_beta=None):
+    def __init__(self, n: int, q: int, noise: NoiseSpec, stream):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        super().__init__(stream, force_beta)
+        super().__init__(stream)
         self.n, self.q = n, q
         self.noise = NoiseSpec(noise.alpha, q, 1)
         self.secret = stream.uniform_fq(q, size=n)
 
     def _lwe_pairs(self, k: int):
-        """A from one k×n draw, then k errors e from one Gaussian draw;
-        b = A·s + e."""
+        """(A, A·s + e): A from one k×n draw, then the k errors e from one draw."""
         A = self._stream.uniform_fq(self.q, size=(k, self.n))
         e = discrete_gaussian_vector(self._stream, self.noise, k)
-        return A, (dot_mod(A, self.secret, self.q) + e) % self.q, e
+        return A, (dot_mod(A, self.secret, self.q) + e) % self.q
 
     def samples(self, k: int):
         """k Sample pairs as (A, b), the rows of A with the entries of b; all
         k count against the sample cap before anything is drawn."""
         self._count_sample(k)
-        A, b, e = self._lwe_pairs(k)
-        self.audit.extend(("sample", a, int(bi), int(ei)) for a, bi, ei in zip(A, b, e))
-        return A, b
+        return self._lwe_pairs(k)
 
     def sample(self):
         A, b = self.samples(1)
@@ -184,13 +174,10 @@ class DlweOracles(_OracleBase):
     def challenge(self):
         self._claim_challenge()
         if self.beta == 1:
-            A, b, e = self._lwe_pairs(1)
-            a, b, e = A[0], int(b[0]), int(e[0])
-        else:
-            a = self._stream.uniform_fq(self.q, size=self.n)
-            b, e = int(self._stream.uniform_fq(self.q)), None
-        self.audit.append(("challenge", a, b, e))
-        return a, b
+            A, b = self._lwe_pairs(1)
+            return A[0], int(b[0])
+        a = self._stream.uniform_fq(self.q, size=self.n)
+        return a, int(self._stream.uniform_fq(self.q))
 
 
 class IndCpaOracles(_OracleBase):
@@ -200,8 +187,8 @@ class IndCpaOracles(_OracleBase):
     child 1, so no sample shares randomness with the challenge.
     """
 
-    def __init__(self, sk: SecretKey, stream, force_beta=None):
-        super().__init__(stream, force_beta)
+    def __init__(self, sk: SecretKey, stream):
+        super().__init__(stream)
         self.sk = sk
         self.n, self.q = sk.n, sk.params.q
         self.leak = Leak(p=sk.p, sk=sk, s=sk.s)
@@ -211,9 +198,7 @@ class IndCpaOracles(_OracleBase):
         """k encryptions of zero, the rows of one k×n batch; all k count
         against the sample cap before anything is drawn."""
         self._count_sample(k)
-        C = encrypt_batch(self.sk, np.zeros(k, dtype=np.int64), self._zeros_stream)
-        self.audit.extend(("encrypt_zero", row) for row in C)
-        return C
+        return encrypt_batch(self.sk, np.zeros(k, dtype=np.int64), self._zeros_stream)
 
     def encrypt_zero(self) -> Ciphertext:
         """One encryption of zero: the k = 1 case of encrypt_zeros."""
@@ -222,10 +207,7 @@ class IndCpaOracles(_OracleBase):
     def left_right(self, m0: int, m1: int) -> Ciphertext:
         _check_challenge_messages(m0, m1)
         self._claim_challenge()
-        m = (m0, m1)[self.beta]
-        ct = encrypt(self.sk, m, self._stream.derive(1))
-        self.audit.append(("left_right", m0, m1, ct.c))
-        return ct
+        return encrypt(self.sk, (m0, m1)[self.beta], self._stream.derive(1))
 
 
 # ---------------------------------------------------------------------------

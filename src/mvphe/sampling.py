@@ -10,6 +10,7 @@ seeding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,11 @@ class RandomStream:
         if seed is None:
             # fresh OS entropy, folded to 64 bits so the seed stays loggable
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-        self.seed = int(seed)
+        self.seed = operator.index(seed)  # an integer, not a truncated float
+        if self.seed < 0:  # checked here: the generator is seeded only at the first draw
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._spawn_key = tuple(int(k) for k in _spawn_key)
         self._gen = None  # seeded at the first draw (see _seed)
-        self.counter = 0  # number of sampling calls served
 
     def _seed(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
@@ -40,7 +42,6 @@ class RandomStream:
 
     def integers(self, low: int, high: int, size=None):
         """Unbiased uniform integers in [low, high)."""
-        self.counter += 1
         out = (self._gen or self._seed()).integers(low, high, size=size)
         if size is None:
             return int(out)
@@ -57,7 +58,6 @@ class RandomStream:
         return self.integers(0, 3, size=size) - 1
 
     def unit_uniform(self, size=None):
-        self.counter += 1
         return (self._gen or self._seed()).random(size=size)
 
     def gaussian(self, std: float, size=None):
@@ -77,7 +77,7 @@ class RandomStream:
         return z.reshape(size)
 
     def __repr__(self):
-        return f"RandomStream(seed={self.seed}, path={self._spawn_key}, counter={self.counter})"
+        return f"RandomStream(seed={self.seed}, path={self._spawn_key})"
 
 
 @dataclass(frozen=True)

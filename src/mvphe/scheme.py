@@ -75,6 +75,8 @@ class SchemeParams:
         self.validate()
 
     def validate(self):
+        if type(self.lam) is not int or self.lam < 1:  # bool is an int subclass
+            raise ValueError(f"lambda must be an integer >= 1, got {self.lam!r}")
         FieldContext(self.q)  # raises unless q is a prime < 2^31
         if self.q < 3:
             raise ValueError("q must be an odd prime >= 3")

@@ -112,6 +112,29 @@ def test_mul_depth_exceeded_exit3(tmp_path, mult_paramfile, capsys):
     assert main(["mul", "--in", prod, "--in", a, "--evalkey", evk, "--out", prod]) == 3
 
 
+def test_negative_seed_exits_3_naming_seed(tmp_path, toy_paramfile, capsys):
+    key = tmp_path / "key.json"
+    assert main(["keygen", "--params", toy_paramfile, "--seed", "-3", "--out", str(key)]) == 3
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not key.exists()
+    assert main(["game", "hsm", "--trials", "100", "--seed", "-3"]) == 3
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_add_and_mul_take_exactly_two_inputs(tmp_path, toy_paramfile, count, capsys):
+    key, ct, out = (tmp_path / x for x in ("key.json", "ct.json", "out.json"))
+    main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", str(key)])
+    main(["encrypt", "--key", str(key), "--bit", "1", "--seed", "3", "--out", str(ct)])
+    capsys.readouterr()
+    ins = ["--in", str(ct)] * count
+    assert main(["add", *ins, "--out", str(out)]) == 2
+    assert main(["mul", *ins, "--evalkey", str(ct), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"takes exactly two --in files, got {count}") == 2
+    assert not out.exists()
+
+
 def test_check_params_prints_n6(toy_paramfile, capsys):
     assert main(["check-params", "--params", toy_paramfile]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -83,6 +84,17 @@ def test_deleted_literal_mult_noise_key_is_refused(tmp_path, artifacts, mult_key
         with pytest.raises(FileFormatError) as exc:
             load(target)
         assert exc.value.field == "literal_mult_noise"
+
+
+@pytest.mark.parametrize("lam", [1, 32, 256])
+def test_params_round_trip_every_accepted_lambda(tmp_path, toy_params, lam):
+    params = dataclasses.replace(toy_params, lam=lam)
+    save_params(tmp_path / "p.json", params)
+    loaded, _ = load_params(tmp_path / "p.json")
+    assert loaded.lam == lam and loaded.canonical_dict() == params.canonical_dict()
+    d = json.loads((tmp_path / "p.json").read_text())
+    with pytest.raises(FileFormatError, match="lambda"):
+        params_from_dict({**d, "lambda": 0})
 
 
 def test_a_stack_of_ciphertexts_is_not_saved_as_one(tmp_path, toy_key):

@@ -58,6 +58,23 @@ class _BetaReader:
         return oracles.beta
 
 
+def _with_beta(beta, make):
+    """The oracles that ``make()`` builds, with hidden bit ``beta``: during the
+    construction the coin that draws it returns ``beta`` and draws nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RandomStream, "coin", lambda self: beta)
+        return make()
+
+
+def _outputs_of(monkeypatch, name):
+    """From now on, each output of ``games.<name>`` is appended to the list
+    returned."""
+    drawn = []
+    real = getattr(games, name)
+    monkeypatch.setattr(games, name, lambda *args: drawn.append(real(*args)) or drawn[-1])
+    return drawn
+
+
 def _small_instance(stream, alpha=0.0, n=12, l=6):
     noise = NoiseSpec(alpha, Q, n - l)
     return uniform_subspace_instance(n, Q, l, noise, stream)
@@ -135,7 +152,7 @@ def test_hsm_known_secret_on_scheme_instance_matches_direct_monte_carlo():
     hits_noisy = hits_uniform = 0
     trials = 4000
     for i in range(trials):
-        orc = HsmOracles(inst, probe.derive(i), force_beta=1)
+        orc = _with_beta(1, lambda: HsmOracles(inst, probe.derive(i)))
         v = orc.challenge()
         hits_noisy += abs(ctx.balanced(dot_mod(sk.s, v, Q))) <= threshold
         u = probe.derive(trials + i).uniform_fq(Q, size=inst.n)
@@ -169,18 +186,18 @@ def test_hsm_sample_cap(monkeypatch):
         orc.sample()
 
 
-def test_hsm_oracle_fidelity_beta1():
-    # challenge minus its subspace component must follow the support pattern
+def test_hsm_oracle_fidelity_beta1(monkeypatch):
+    # the challenge minus the noise drawn for it is a subspace member, and
+    # that noise follows the support pattern
     inst = _small_instance(RandomStream(114), alpha=8.0 / Q, n=10, l=4)
-    support = inst.noise.support_len
+    head = inst.n - inst.noise.support_len
+    noise = _outputs_of(monkeypatch, "sample_noise_vector")
     for i in range(1000):
-        orc = HsmOracles(inst, RandomStream(115).derive(i), force_beta=1)
-        out = orc.challenge()
-        kind, v, e, recorded = orc.audit[-1]
-        assert kind == "challenge"
-        diff = (out - v) % Q
-        assert np.array_equal(diff, e % Q)
-        assert np.all(diff[: inst.n - support] == 0)
+        out = _with_beta(1, lambda: HsmOracles(inst, RandomStream(115).derive(i))).challenge()
+        assert len(noise) == i + 1
+        (e,) = noise[-1]
+        assert in_rowspace(inst.basis, (out - e) % Q, Q)
+        assert np.all(e[:head] == 0)
 
 
 def test_hsm_oracle_fidelity_beta0_uniform():
@@ -189,7 +206,7 @@ def test_hsm_oracle_fidelity_beta0_uniform():
     inst = SubspaceInstance(n=5, q=17, basis=basis, noise=NoiseSpec(0.2, 17, 2))
     draws = []
     for i in range(1000):
-        orc = HsmOracles(inst, RandomStream(116).derive(i), force_beta=0)
+        orc = _with_beta(0, lambda: HsmOracles(inst, RandomStream(116).derive(i)))
         draws.append(int(orc.challenge()[0]))
     counts = np.bincount(draws, minlength=17)
     expected = len(draws) / 17
@@ -216,7 +233,7 @@ def test_hsm_oracle_golden_draws(beta, digest):
     # draw order of the one-sample path; the noise goes through libm
     # (Box-Muller), so the digest holds per platform
     inst = _small_instance(RandomStream(141), alpha=8.0 / Q, n=12, l=6)
-    orc = HsmOracles(inst, RandomStream(142), force_beta=beta)
+    orc = _with_beta(beta, lambda: HsmOracles(inst, RandomStream(142)))
     outs = [orc.sample() for _ in range(5)] + [orc.challenge()]
     assert _digest(outs) == digest
 
@@ -260,7 +277,7 @@ def test_dlwe_rank_adversary_blind_under_noise():
 )
 def test_dlwe_oracle_golden_draws(beta, digest):
     # the secret, five Sample pairs, then Challenge, at alpha q = 8
-    orc = DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(143), force_beta=beta)
+    orc = _with_beta(beta, lambda: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(143)))
     outs = [orc.secret]
     for a, b in [orc.sample() for _ in range(5)] + [orc.challenge()]:
         outs += [a, b]
@@ -270,49 +287,57 @@ def test_dlwe_oracle_golden_draws(beta, digest):
 # ---------------------------------------------------------------------------
 # lemma1 adapter
 
-class _Recording:
-    """Inner adversary of a reduction adapter: runs ``inner`` against the
-    adapter's view and keeps each reply the view served, as (method, args,
-    reply), and the inner adversary's guess."""
+class _Recorder:
+    """Stands in for oracles or for a reduction's view of them: forwards every
+    attribute and keeps each method call as (method, args, reply)."""
 
-    def __init__(self, inner):
-        self.inner, self.served, self.guess = inner, [], None
+    def __init__(self, target):
+        self._target, self.served = target, []
 
-    def run(self, view, stream):
-        served = self.served
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if not callable(attr):
+            return attr
 
-        class RecordedView:
-            def __getattr__(self, name):
-                attr = getattr(view, name)
-                if not callable(attr):
-                    return attr
+        def call(*args):
+            reply = attr(*args)
+            self.served.append((name, args, reply))
+            return reply
 
-                def call(*args):
-                    reply = attr(*args)
-                    served.append((name, args, reply))
-                    return reply
+        return call
 
-                return call
-
-        self.guess = self.inner.run(RecordedView(), stream)
-        return self.guess
+    def calls(self):
+        return [(method, args) for method, args, _ in self.served]
 
     def replies(self, name):
         return [reply for method, _, reply in self.served if method == name]
 
 
+class _Recording:
+    """Inner adversary of a reduction adapter: runs ``inner`` against the
+    adapter's view through a _Recorder, kept as ``view``, and keeps the inner
+    adversary's guess."""
+
+    def __init__(self, inner):
+        self.inner, self.view, self.guess = inner, None, None
+
+    def run(self, view, stream):
+        self.view = _Recorder(view)
+        self.guess = self.inner.run(self.view, stream)
+        return self.guess
+
+
 def test_lemma1_transcript_is_a_minus_b():
-    oracles = DlweOracles(6, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120))
+    oracles = _Recorder(DlweOracles(6, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120)))
     inner = _Recording(RankMembershipAdversary())
     Lemma1Adversary(inner).run(oracles, RandomStream(121))
-    # every DLWE row (a, b) the view drew reached the inner adversary as (a, -b)
-    rows = np.vstack(inner.replies("samples") + inner.replies("challenge"))
-    drawn = [(a, b) for _, a, b, _ in oracles.audit]
-    assert oracles.audit[-1][0] == "challenge"
-    assert len(rows) == len(drawn) == (6 + 1) + 8 + 1  # n + 8 samples, then Challenge
-    for vec, (a, b) in zip(rows, drawn):
-        assert np.array_equal(vec[:-1], a)
-        assert vec[-1] == (-b) % Q
+    # every DLWE row (a, b) the oracles served reached the inner adversary as (a, -b)
+    assert oracles.calls() == [("samples", (6 + 1 + 8,)), ("challenge", ())]
+    (A, b), (a, b_c) = oracles.replies("samples") + oracles.replies("challenge")
+    rows = np.vstack(inner.view.replies("samples") + inner.view.replies("challenge"))
+    assert rows.shape == ((6 + 1) + 8 + 1, 6 + 1)  # n + 8 samples, then Challenge
+    assert np.array_equal(rows[:, :-1], np.vstack([A, a]))
+    assert np.array_equal(rows[:, -1], (-np.append(b, b_c)) % Q)
 
 
 def test_lemma1_wrapped_random_guesser_blind():
@@ -394,13 +419,11 @@ def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key, monkeypatch)
     # one more sample than SAMPLE_CAP: sample SAMPLE_CAP + 1 once shared the
     # challenge's stream, so with beta = 0 the two were the same ciphertext
     monkeypatch.setattr(games, "SAMPLE_CAP", SAMPLE_CAP + 1)
-    orc = IndCpaOracles(toy_key, RandomStream(134), force_beta=0)
+    orc = _with_beta(0, lambda: IndCpaOracles(toy_key, RandomStream(134)))
     Z = orc.encrypt_zeros(SAMPLE_CAP + 1)
     ct = orc.left_right(0, 1)
     assert Z.shape == (SAMPLE_CAP + 1, toy_key.n)
     assert not np.any(np.all(Z == ct.c, axis=1))
-    assert len(orc.audit) == SAMPLE_CAP + 2
-    assert all(np.array_equal(a[1], z) for a, z in zip(orc.audit, Z))
 
 
 def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key, monkeypatch):
@@ -408,9 +431,10 @@ def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key, monkeypatc
     orc = IndCpaOracles(toy_key, RandomStream(135))
     Z = orc.encrypt_zeros(3)
     assert [decrypt(toy_key, Ciphertext(z, Q)) for z in Z] == [0, 0, 0]
+    drawn = orc._zeros_stream._gen.bit_generator.state
     with pytest.raises(ProtocolViolationError):
         orc.encrypt_zeros(3)
-    assert len(orc.audit) == 3
+    assert orc._zeros_stream._gen.bit_generator.state == drawn
     with pytest.raises(ValueError):
         IndCpaOracles(toy_key, RandomStream(135)).encrypt_zeros(0)
     one = IndCpaOracles(toy_key, RandomStream(136)).encrypt_zero()
@@ -431,8 +455,8 @@ def test_indcpa_rank_adversary_asks_once_for_its_samples(toy_key, monkeypatch):
 
 def _theorem1_run(toy_key, seed):
     """Theorem 1's adapter around a recorded IndCpaRankAdversary, on fresh
-    HSM oracles: (oracles, recorded inner adversary, the adapter's gamma)."""
-    orc = HsmOracles(scheme_instance(toy_key), RandomStream(seed))
+    recorded HSM oracles: (oracles, inner adversary, the adapter's gamma)."""
+    orc = _Recorder(HsmOracles(scheme_instance(toy_key), RandomStream(seed)))
     inner = _Recording(IndCpaRankAdversary())
     won = Theorem1Adversary(inner, toy_key.p, Leak(p=toy_key.p)).run(orc, RandomStream(seed + 1))
     # the adapter answers 1 exactly when the inner guess equals its gamma
@@ -441,17 +465,16 @@ def _theorem1_run(toy_key, seed):
 
 def test_theorem1_transcripts(toy_key):
     orc, inner, gamma = _theorem1_run(toy_key, 131)
-    assert [(method, args) for method, args, _ in inner.served] == [
-        ("encrypt_zeros", (toy_key.n + 8,)), ("left_right", (0, 1))
-    ]
-    (served,) = inner.replies("encrypt_zeros")
-    samples = [out for kind, _, _, out in orc.audit if kind == "sample"]
+    k = toy_key.n + 8
+    assert inner.view.calls() == [("encrypt_zeros", (k,)), ("left_right", (0, 1))]
+    assert orc.calls() == [("samples", (k,)), ("challenge", ())]
+    (served,) = inner.view.replies("encrypt_zeros")
+    (samples,) = orc.replies("samples")
     assert np.array_equal(served, samples)  # bitwise the Sample outputs
     # the left-right reply is the challenge plus p * m_gamma * 1, m_gamma = gamma
-    (kind, _, _, challenge_out) = orc.audit[-1]
-    (reply,) = inner.replies("left_right")
-    assert kind == "challenge"
-    assert np.array_equal(reply.c, (challenge_out + toy_key.p * gamma) % Q)
+    (challenge,) = orc.replies("challenge")
+    (reply,) = inner.view.replies("left_right")
+    assert np.array_equal(reply.c, (challenge + toy_key.p * gamma) % Q)
 
 
 @pytest.mark.parametrize("m0, m1", [(2, 0), (0, -1)])
@@ -498,10 +521,10 @@ def test_theorem1_full_advantage_at_zero_noise(q):
 
 def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
     orc, inner, _ = _theorem1_run(toy_key, 139)
-    samples = [a[3] for a in orc.audit if a[0] == "sample"]
-    (served,) = inner.replies("encrypt_zeros")
+    (samples,) = orc.replies("samples")
+    (served,) = inner.view.replies("encrypt_zeros")
     assert len(samples) == len(served) == toy_key.n + 8
-    assert all(np.array_equal(a, b) for a, b in zip(samples, served))
+    assert np.array_equal(samples, served)
 
 
 def test_subspace_instance_validation():
@@ -579,35 +602,33 @@ def test_samples_count_against_the_cap_before_drawing(make, monkeypatch):
     monkeypatch.setattr(games, "SAMPLE_CAP", 5)
     orc = make()
     orc.samples(3)
-    drawn = orc._stream.counter
+    drawn = orc._stream._gen.bit_generator.state
     with pytest.raises(ProtocolViolationError):
         orc.samples(3)
-    assert orc._stream.counter == drawn and len(orc.audit) == 3
+    assert orc._stream._gen.bit_generator.state == drawn
     with pytest.raises(ValueError):
         make().samples(0)
 
 
-def test_hsm_samples_audit_members_plus_head_free_noise():
+def test_hsm_samples_audit_members_plus_head_free_noise(monkeypatch):
     inst = _small_instance(RandomStream(147), alpha=8.0 / Q, n=12, l=6)
-    orc = HsmOracles(inst, RandomStream(148))
-    out = orc.samples(9)
-    assert out.shape == (9, 12) and len(orc.audit) == 9
+    noise = _outputs_of(monkeypatch, "sample_noise_vector")
+    out = HsmOracles(inst, RandomStream(148)).samples(9)
+    (E,) = noise  # one draw for the batch
+    assert out.shape == E.shape == (9, 12)
     head = inst.n - inst.noise.support_len
-    for row, (kind, v, e, recorded) in zip(out, orc.audit):
-        assert kind == "sample" and np.array_equal(recorded, row)
-        assert np.array_equal(row, (v + e) % Q)
-        assert in_rowspace(inst.basis, v, Q)
+    for row, e in zip(out, E):
+        assert in_rowspace(inst.basis, (row - e) % Q, Q)
         assert np.all(e[:head] == 0) and np.any(e[head:])
 
 
-def test_dlwe_samples_audit_the_errors():
+def test_dlwe_samples_audit_the_errors(monkeypatch):
+    errors = _outputs_of(monkeypatch, "discrete_gaussian_vector")
     orc = DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
     A, b = orc.samples(11)
-    assert A.shape == (11, 8) and b.shape == (11,) and len(orc.audit) == 11
-    errors = [e for _, _, _, e in orc.audit]
-    assert np.array_equal((b - A @ orc.secret) % Q, errors)
-    assert all(np.array_equal(a, row) and bi == b_i
-               for (_, a, bi, _), row, b_i in zip(orc.audit, A, b))
+    (e,) = errors  # one draw for the batch
+    assert A.shape == (11, 8) and b.shape == e.shape == (11,) and np.any(e)
+    assert np.array_equal((b - A @ orc.secret) % Q, e)
 
 
 def test_rank_and_linear_adversaries_ask_once_for_their_samples(monkeypatch):
@@ -637,7 +658,7 @@ def test_rank_games_are_won_every_time_at_zero_noise(toy_params_noiseless):
     wrapped = Theorem1Adversary(IndCpaRankAdversary(), sk.p, Leak(p=sk.p))
 
     def game_fn(adv, sub):  # beta = 1: the simulation is the real IND-CPA game
-        oracles = HsmOracles(scheme_instance(sk), sub.derive(0), force_beta=1)
+        oracles = _with_beta(1, lambda: HsmOracles(scheme_instance(sk), sub.derive(0)))
         return oracles.finalize(adv.run(oracles, sub.derive(1)))
 
     assert estimate_advantage(game_fn, wrapped, 100, RandomStream(158)).wins == 100

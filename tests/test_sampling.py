@@ -100,12 +100,15 @@ def test_noise_spec_validation():
             NoiseSpec(alpha=alpha, q=Q, support_len=1)
 
 
-def test_counter_advances():
-    s = RandomStream(19)
-    c0 = s.counter
-    s.uniform_fq(Q)
-    s.gaussian(1.0, size=4)
-    assert s.counter > c0
+def test_seed_is_a_nonnegative_integer():
+    # refused at construction, although the generator is seeded at the first draw
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        RandomStream(-3)
+    with pytest.raises(TypeError):  # 2.7 was silently truncated to 2
+        RandomStream(2.7)
+    assert RandomStream(np.int64(7)).uniform_fq(Q, size=4).tolist() == (
+        RandomStream(7).uniform_fq(Q, size=4).tolist())
+    assert repr(RandomStream(7).derive(3)) == "RandomStream(seed=7, path=(3,))"
 
 
 def _first_draws(stream) -> str:
@@ -136,4 +139,4 @@ def test_stream_golden_first_draws():
         "c1cb411ab4a1cd6bc551584d2b8bc442f75af671b844344a677ebc39c4b98a23")
     assert _first_draws(child) == (
         "b4059f2d700447f76df43de2812cd802dd042fdfc3add3faf03b5d31e4e2bca1")
-    assert grandchild.seed == 7 and grandchild.counter == 5
+    assert grandchild.seed == 7

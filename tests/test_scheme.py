@@ -64,6 +64,10 @@ def test_params_validation_errors():
     with pytest.raises(ValueError):
         SchemeParams(lam=32, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
                      mode=MODE_ADDITIVE, ideal=toy_ideal(), headroom=0.5)
+    for lam in ("x", 2.5, True, 0, -1, None):  # save_params would write a file load_params refuses
+        with pytest.raises(ValueError, match="lambda must be an integer >= 1"):
+            SchemeParams(lam=lam, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
+                         mode=MODE_ADDITIVE, ideal=toy_ideal())
 
 
 def test_keygen_rejects_unit_ideal():
