@@ -8,36 +8,25 @@ form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_MR_WITNESSES = (2, 7, 61)  # deterministic for n < 3,215,031,751 > 2^31
-
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13):
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and by every odd number up to isqrt(n)."""
+    return n == 2 or (n > 2 and n % 2 == 1
+                      and bool(np.all(n % np.arange(3, math.isqrt(n) + 1, 2))))
+
+
+def balanced(x, q: int):
+    """The balanced view in (-q/2, q/2] of residues in [0, q): one np.where
+    for an array, an int for one value."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > q // 2, x - q, x)
+    x = int(x)
+    return x - q if x > q // 2 else x
 
 
 @dataclass(frozen=True)
@@ -65,10 +54,8 @@ class FieldContext:
     def balanced(self, x):
         """Balanced representative in (-q/2, q/2] of an int or array."""
         if isinstance(x, np.ndarray):
-            x = x.astype(np.int64) % self.q
-            return np.where(x > self.q // 2, x - self.q, x)
-        x = int(x) % self.q
-        return x - self.q if x > self.q // 2 else x
+            return balanced(x.astype(np.int64) % self.q, self.q)
+        return balanced(int(x) % self.q, self.q)
 
 
 def round_nearest(numerator: int, denominator: int) -> int:

@@ -155,14 +155,10 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ctx.q != g.ctx.q:
         raise ValueError("field mismatch")
     out_index = MonomialIndex(f.index.ell, f.index.r + g.index.r)
-    out = np.zeros(out_index.size, dtype=np.int64)
-    q = f.ctx.q
-    for cf, ef in f.terms():
-        for cg, eg in g.terms():
-            e = tuple(a + b for a, b in zip(ef, eg))
-            pos = out_index.position(e)
-            out[pos] = (out[pos] + cf * cg) % q
-    return Polynomial(out_index, f.ctx, out)
+    g_terms = g.terms()
+    return Polynomial.from_terms(out_index, f.ctx, (
+        (cf * cg, tuple(a + b for a, b in zip(ef, eg)))
+        for cf, ef in f.terms() for cg, eg in g_terms))
 
 
 @dataclass(frozen=True)
@@ -240,13 +236,11 @@ def _build_truncated_basis(ideal: IdealSpec, r: int) -> IdealBasis:
             raise ValueError(
                 f"generator of degree {gdeg} rejected for truncation degree {r}"
             )
+        terms = g.terms()
         for m_exp in MonomialIndex(ideal.ell, r - gdeg).exponents:
-            row = np.zeros(out_index.size, dtype=np.int64)
-            for coeff, exps in g.terms():
-                e = tuple(a + b for a, b in zip(exps, m_exp))
-                pos = out_index.position(e)
-                row[pos] = (row[pos] + coeff) % ctx.q
-            rows.append(row)
+            rows.append(Polynomial.from_terms(out_index, ctx, (
+                (coeff, tuple(a + b for a, b in zip(exps, m_exp))) for coeff, exps in terms
+            )).coeffs)
     R, rk, _ = rref(np.array(rows, dtype=np.int64), ctx.q)
     data = R[:rk]
     data.flags.writeable = False

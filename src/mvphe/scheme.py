@@ -33,7 +33,7 @@ from .errors import (
     ParameterInfeasibleError,
     UnsupportedOperationError,
 )
-from .field import FieldContext, round_nearest
+from .field import FieldContext, balanced, round_nearest
 from .linalg import _fits_int64, matmul_mod, orthogonal_head_map, rank
 from .mvpoly import (IdealBasis, IdealSpec, evaluation_matrix, ideal_truncated_basis,
                      monomial_count)
@@ -77,7 +77,15 @@ class SchemeParams:
     def validate(self):
         if type(self.lam) is not int or self.lam < 1:  # bool is an int subclass
             raise ValueError(f"lambda must be an integer >= 1, got {self.lam!r}")
-        FieldContext(self.q)  # raises unless q is a prime < 2^31
+        # exact types before any comparison: q = 10007.0 equals the ideal's q,
+        # and save_params would write a file that load_params refuses
+        for name in ("q", "ell", "r", "n"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.headroom, (int, float)) or isinstance(self.headroom, bool):
+            raise ValueError(f"headroom must be an int or float, got {self.headroom!r}")
+        if self.q != self.ideal.ctx.q:  # the ideal's field has tested its own q
+            FieldContext(self.q)  # raises unless q is a prime < 2^31
         if self.q < 3:
             raise ValueError("q must be an odd prime >= 3")
         if self.mode not in (MODE_ADDITIVE, MODE_MULT):
@@ -250,7 +258,7 @@ class SecretKey:
 
     @property
     def s2_norm(self) -> float:
-        return float(np.linalg.norm(self.ctx.balanced(self.s2)))
+        return float(np.linalg.norm(balanced(self.s2, self.params.q)))
 
     def evaluated_basis(self) -> np.ndarray:
         """Rows span the evaluated ideal subspace the secret annihilates."""
@@ -309,7 +317,8 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
         # head of V = B·Gᵀ (E_2r; in additive mode E_r itself). One
         # elimination of V checks the head and gives s1 = K·s2 for every s2.
         if params.mode == MODE_MULT:
-            E_r = matmul_mod(B_r.data, evaluation_matrix(B_r.index, ctx, points[:d_r]).T, q)
+            # grlex lists the degree <= r monomials first: E_r reads off G
+            E_r = matmul_mod(B_r.data, G[:d_r, : B_r.index.size].T, q)
             if rank(E_r, q) != d_r:
                 failures["condition2"] += 1
                 continue
@@ -375,7 +384,6 @@ def _choose_secret(
 ) -> Optional[Tuple[np.ndarray, int, int]]:
     """Pick s2, extend it to s = (K·s2, s2) orthogonal to V, derive sigma_s
     and p. Raises KeyGenError("orthogonality") if V·s is not zero."""
-    ctx = params.ctx()
     head_len, tail_len = K.shape
     q = params.q
     eps = params.epsilon_f
@@ -392,13 +400,13 @@ def _choose_secret(
                 continue
         s2 = s2 % q
         s = np.concatenate([matmul_mod(K, s2, q), s2])
-        sigma = ctx.balanced(int(s.sum() % q))
+        sigma = balanced(int(s.sum() % q), q)
         if sigma == 0:
             continue
         if sigma < 0:
             s = (-s) % q  # preserves orthogonality, flips the sum's sign
             sigma = -sigma
-        norm_s2 = float(np.linalg.norm(ctx.balanced(s[head_len:])))
+        norm_s2 = float(np.linalg.norm(balanced(s[head_len:], q)))
         eta = 2.0 * norm_s2 * h / math.sqrt(eps)
         p = math.floor(eta * alpha_q / sigma) + 1
         # the headroom multiplier also caps the message multiple so that
@@ -484,20 +492,11 @@ def _phase_residue(sk: SecretKey, ct: Ciphertext, m):
     return (hl[:, 0] % q * 65536 + hl[:, 1] - shift) % q
 
 
-def _balanced(x, q: int):
-    """The balanced view in (-q/2, q/2] of residues in [0, q): one np.where
-    for an array, an int for one value."""
-    if isinstance(x, np.ndarray):
-        return np.where(x > q // 2, x - q, x)
-    x = int(x)
-    return x - q if x > q // 2 else x
-
-
 def noise_measure(sk: SecretKey, ct: Ciphertext, m):
     """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
     message multiple m (0/1 fresh; up to the add count after additions).
     For a stack of ciphertext rows, m and the result hold one value per row."""
-    return _balanced(_phase_residue(sk, ct, m), sk.params.q)
+    return balanced(_phase_residue(sk, ct, m), sk.params.q)
 
 
 def _phase_bit(sk: SecretKey, phase):
@@ -639,8 +638,8 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
     def measure(op, ct, multiple, bit):
         # one <s, c> per row: the noise and the decrypted bit share its residue
         phase = _phase_residue(sk, ct, 0)
-        tally[op].add(_balanced((phase - multiple * sk.sigma_s * sk.p) % q, q),
-                      int(np.count_nonzero(_phase_bit(sk, _balanced(phase, q)) != bit)))
+        tally[op].add(balanced((phase - multiple * sk.sigma_s * sk.p) % q, q),
+                      int(np.count_nonzero(_phase_bit(sk, balanced(phase, q)) != bit)))
 
     for b, start in enumerate(range(0, trials, _BENCH_BLOCK)):
         k = min(_BENCH_BLOCK, trials - start)

@@ -374,6 +374,10 @@ def test_game_refuses_bad_q_naming_it(game, q, why, capsys):
     assert "q must be" in err and why in err and str(q) in err
 
 
+def test_game_accepts_q_61():
+    assert main(["game", "hsm", "--q", "61", "--trials", "100", "--seed", "1"]) == 0
+
+
 @pytest.mark.parametrize("n", [0, -3])
 @pytest.mark.parametrize("game", [
     ["hsm", "--adversary", "rank"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvphe.field import FieldContext, round_nearest
+from mvphe.field import FieldContext, _is_prime, round_nearest
 
 
 def test_inverse_examples_q7():
@@ -84,3 +84,17 @@ def test_context_rejects_nonprime_and_range():
             FieldContext(bad)
     FieldContext(2)
     FieldContext(2147483647)  # 2^31 - 1 is prime
+
+
+def test_is_prime_matches_a_sieve():
+    N = 10**5
+    sieve = np.ones(N, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 317):  # 317^2 > N
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    assert [_is_prime(n) for n in range(N)] == sieve.tolist()
+    assert _is_prime(2**31 - 1) and _is_prime(2**31 - 19)
+    assert not _is_prime(46337**2)  # a prime square: trial division must reach isqrt
+    assert not _is_prime(46327 * 46337)
+    FieldContext(61)  # prime, yet a Miller-Rabin test with witness 61 calls it composite

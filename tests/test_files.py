@@ -97,6 +97,26 @@ def test_params_round_trip_every_accepted_lambda(tmp_path, toy_params, lam):
         params_from_dict({**d, "lambda": 0})
 
 
+@pytest.mark.parametrize("headroom", [1, 2.5])
+def test_params_round_trip_int_and_float_headroom(tmp_path, toy_params, headroom):
+    params = dataclasses.replace(toy_params, headroom=headroom)
+    save_params(tmp_path / "p.json", params)
+    loaded, _ = load_params(tmp_path / "p.json")
+    assert type(loaded.headroom) is type(headroom)
+    assert loaded.canonical_dict() == params.canonical_dict()
+
+
+def test_params_load_tests_q_once(tmp_path, toy_params, monkeypatch):
+    import mvphe.field
+
+    save_params(tmp_path / "p.json", toy_params)
+    calls = []
+    real = mvphe.field._is_prime
+    monkeypatch.setattr(mvphe.field, "_is_prime", lambda n: calls.append(n) or real(n))
+    load_params(tmp_path / "p.json")
+    assert calls == [toy_params.q]
+
+
 def test_a_stack_of_ciphertexts_is_not_saved_as_one(tmp_path, toy_key):
     stack = Ciphertext(encrypt_batch(toy_key, [0, 1], RandomStream(6)), toy_key.params.q)
     with pytest.raises(ValueError, match="one ciphertext"):

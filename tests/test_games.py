@@ -10,6 +10,7 @@ from mvphe import (
     FieldContext,
     SchemeParams,
     decrypt,
+    encrypt,
     NoiseSpec,
     ProtocolViolationError,
     RandomStream,
@@ -204,14 +205,17 @@ def test_hsm_oracle_fidelity_beta0_uniform():
     # chi-square on a projected coordinate across 1000 forced-uniform games
     basis = np.array([[1, 0, 1, 0, 1]])
     inst = SubspaceInstance(n=5, q=17, basis=basis, noise=NoiseSpec(0.2, 17, 2))
+    # on coordinate 1 too, where every noisy member reads 0 (the basis is 0
+    # there and the noise lands on the last 2 coordinates only)
     draws = []
     for i in range(1000):
         orc = _with_beta(0, lambda: HsmOracles(inst, RandomStream(116).derive(i)))
-        draws.append(int(orc.challenge()[0]))
-    counts = np.bincount(draws, minlength=17)
-    expected = len(draws) / 17
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    assert stat < chi2.ppf(1 - 1e-6, df=16)
+        draws.append(orc.challenge()[:2])
+    for coord in np.array(draws).T:
+        counts = np.bincount(coord, minlength=17)
+        expected = len(coord) / 17
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(1 - 1e-6, df=16)
 
 
 def _digest(values) -> str:
@@ -424,6 +428,8 @@ def test_indcpa_samples_and_challenge_use_disjoint_streams(toy_key, monkeypatch)
     ct = orc.left_right(0, 1)
     assert Z.shape == (SAMPLE_CAP + 1, toy_key.n)
     assert not np.any(np.all(Z == ct.c, axis=1))
+    # beta = 0 picks m0 = 0, drawn from the documented child 1
+    assert np.array_equal(ct.c, encrypt(toy_key, 0, RandomStream(134).derive(1)).c)
 
 
 def test_encrypt_zeros_counts_against_the_cap_before_drawing(toy_key, monkeypatch):

@@ -64,10 +64,16 @@ def test_params_validation_errors():
     with pytest.raises(ValueError):
         SchemeParams(lam=32, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
                      mode=MODE_ADDITIVE, ideal=toy_ideal(), headroom=0.5)
-    for lam in ("x", 2.5, True, 0, -1, None):  # save_params would write a file load_params refuses
-        with pytest.raises(ValueError, match="lambda must be an integer >= 1"):
-            SchemeParams(lam=lam, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
-                         mode=MODE_ADDITIVE, ideal=toy_ideal())
+    # each refused naming its field, before save_params could write a file
+    # that load_params refuses
+    bad = [("lam", lam, "lambda must be an integer >= 1") for lam in ("x", 2.5, True, 0, -1, None)]
+    bad += [(name, value, f"{name} must be an int") for name, value in (
+        ("n", 5.0), ("n", True), ("ell", 2.0), ("r", 2.0), ("q", 10007.0), ("headroom", True))]
+    bad += [("q", 10000, "q must be prime, got 10000")]  # not the ideal's q, so tested here
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            SchemeParams(**{**dict(lam=32, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
+                                   mode=MODE_ADDITIVE, ideal=toy_ideal()), name: value})
 
 
 def test_keygen_rejects_unit_ideal():
