@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import FileFormatError
 from .field import FieldContext
-from .linalg import matmul_mod
 from .mvpoly import (
     MONOMIAL_ORDER,
     IdealSpec,
@@ -29,7 +28,7 @@ from .mvpoly import (
     Polynomial,
     evaluation_matrix,
 )
-from .scheme import Ciphertext, EvalKey, SchemeParams, SecretKey
+from .scheme import Ciphertext, EvalKey, SchemeParams, SecretKey, key_defect
 
 FILE_VERSION = 1
 
@@ -209,21 +208,23 @@ def load_key(path) -> SecretKey:
     q, n = params.q, params.n
     points = _require_array(d, "points", q, (n, params.ell))
     s = _require_array(d, "s", q, (n,))
-    p = _require_int(d, "p", 1, q)
-    sigma = _require_int(d, "sigma_s", 1, q // 2 + 1)
     index = MonomialIndex(params.ell, params.enc_degree())
     try:
-        sk = SecretKey(params, points, evaluation_matrix(index, ctx, points), s, p, sigma)
+        sk = SecretKey(params, points, evaluation_matrix(index, ctx, points), s)
     except ValueError as exc:  # n below the ideal slice's dimension leaves no tail
         raise FileFormatError("params", str(exc))
     for field, B in (("B_r", sk.B_r), ("B_2r", sk.B_2r)):  # the params determine both
         if B is not None and not np.array_equal(
                 _require_array(d, field, q, B.data.shape), B.data):
             raise FileFormatError(field, "does not match the parameter ideal")
-    if ctx.balanced(int(s.sum() % q)) != sigma:
-        raise FileFormatError("sigma_s", "does not equal the balanced sum of s")
-    if np.any(matmul_mod(sk.evaluated_basis(), s, q)):
-        raise FileFormatError("s", "not orthogonal to the evaluated ideal basis")
+    for field in ("sigma_s", "p"):  # s and the params determine both
+        stored, derived = _require(d, field, int), getattr(sk, field)
+        if stored != derived:
+            raise FileFormatError(field, f"is {stored}, but s and the params give {derived}")
+    defect = key_defect(params, sk.G, s)[0]
+    if defect is not None:
+        raise FileFormatError("s" if defect in ("scale", "orthogonality") else "points",
+                              f"fails keygen's {defect} check")
     return sk
 
 

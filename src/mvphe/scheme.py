@@ -208,17 +208,15 @@ class NoiseBudget:
 
 @dataclass
 class SecretKey:
-    """A key: its n points, the evaluation matrix G at them, the secret s and
-    the scales p and sigma_s. Construction derives everything else from the
-    params once: the bases B_r and B_2r (None in additive mode), d_r,
-    head_len and tail_len, enc_basis and noise_spec."""
+    """A key: its n points, the evaluation matrix G at them and the secret s.
+    Construction derives everything else from the params once: the bases B_r
+    and B_2r (None in additive mode), d_r, head_len and tail_len, enc_basis,
+    noise_spec, and the scales sigma_s and p by the noise rule."""
 
     params: SchemeParams
     points: np.ndarray          # n x ell
     G: np.ndarray               # n x N_enc evaluation matrix
     s: np.ndarray               # length n, canonical residues
-    p: int
-    sigma_s: int                # positive integer, balanced sum of s entries
 
     def __post_init__(self):
         params = self.params
@@ -234,6 +232,7 @@ class SecretKey:
         self.enc_basis[:, : self.B_r.index.size] = self.B_r.data
         # noise lands on the tail only, the coordinates that s2 reads
         self.noise_spec = NoiseSpec(params.alpha_f, params.q, self.tail_len)
+        self.sigma_s, self.eta, self.p = _noise_rule(params, self.s, self.head_len)
         # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
         # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the
         # limb sums of c @ S stay below n·2^47, exact for every n < 2^16
@@ -288,56 +287,81 @@ def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]
     return B_r, B, lo, hi
 
 
-def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
-    """Generate a secret key, resampling points and tails until the rank and
-    magnitude conditions hold.
+def _noise_rule(params: SchemeParams, s: np.ndarray, head_len: int) -> Tuple[int, float, int]:
+    """The noise rule: sigma_s, the balanced sum of s; eta = 2·|s2|·h/sqrt(eps);
+    and p = floor(eta·alpha·q/sigma_s) + 1 (sigma_s < 1, which the window
+    refuses, counts as 1)."""
+    q = params.q
+    sigma = balanced(int(s.sum() % q), q)
+    norm_s2 = float(np.linalg.norm(balanced(s[head_len:], q)))
+    eta = 2.0 * norm_s2 * float(params.headroom) / math.sqrt(params.epsilon_f)
+    return sigma, eta, math.floor(eta * (params.alpha_f * q) / max(sigma, 1)) + 1
 
-    A point set is checked for condition 2 first and for condition 1 (G of
-    full row rank) only once condition 2 holds, so a point set that fails
-    both counts as a ``condition2`` failure.
+
+def _in_window(params: SchemeParams, sigma: int, p: int) -> bool:
+    """The scale window: sigma_s >= 1 and h·sigma_s·p <= floor(q/2), so that
+    h plaintext units still land inside the balanced range."""
+    return sigma >= 1 and sigma * p * float(params.headroom) <= params.q // 2
+
+
+def key_defect(params: SchemeParams, G: np.ndarray, s: Optional[np.ndarray] = None):
+    """KeyGen's acceptance of the points (through G) and, if given, of s:
+    ``(defect, V, K)`` with defect the first failing condition (condition2,
+    condition1, scale, orthogonality) or None, V = B·Gᵀ and K its head map.
+
+    Condition 2: the first d_r points separate the degree-r ideal slice, and
+    the first head_len points the evaluated one, the head of V. One
+    elimination of V checks it and gives s1 = K·s2; condition 1 reads off K.
+    """
+    q = params.q
+    B_r = ideal_truncated_basis(params.ideal, params.r)
+    B = ideal_truncated_basis(params.ideal, params.enc_degree())
+    if params.mode == MODE_MULT:
+        # grlex lists the degree <= r monomials first: E_r reads off G
+        E_r = matmul_mod(B_r.data, G[: B_r.rows, : B_r.index.size].T, q)
+        if rank(E_r, q) != B_r.rows:
+            return "condition2", None, None
+    V = matmul_mod(B.data, G.T, q)
+    K = orthogonal_head_map(V, B.rows, q)
+    if K is None:
+        return "condition2", V, None
+    if not _full_row_rank(G, K, q):
+        return "condition1", V, K
+    if s is not None:
+        sigma, _, p = _noise_rule(params, s, B.rows)
+        if not _in_window(params, sigma, p):
+            return "scale", V, K
+        if np.any(matmul_mod(V, s, q)):
+            return "orthogonality", V, K
+    return None, V, K
+
+
+def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
+    """Generate a secret key, resampling points until ``key_defect`` accepts
+    them (a point set that fails both conditions counts under condition2)
+    and tails until the scale window holds.
 
     Raises KeyGenError (with the most frequent failing condition) when the
     retry budget is exhausted, and ParameterInfeasibleError when no plaintext
     scale p can fit below q/2.
     """
-    ctx = params.ctx()
-    q, n = params.q, params.n
-    B_r, B, _, _ = feasibility(params)
-    d_r, head_len = B_r.rows, B.rows
-
+    B = feasibility(params)[1]
     point_stream = stream.derive(0)
     tail_stream = stream.derive(1)
     failures = {"condition1": 0, "condition2": 0, "tail": 0}
 
     for _ in range(_POINT_ATTEMPTS):
-        points = _sample_distinct_points(point_stream, q, n, params.ell)
-        G = evaluation_matrix(B.index, ctx, points)
-        # condition 2: the first d_r points separate the degree-r ideal slice,
-        # and the first head_len points the evaluated one, whose matrix is the
-        # head of V = B·Gᵀ (E_2r; in additive mode E_r itself). One
-        # elimination of V checks the head and gives s1 = K·s2 for every s2.
-        if params.mode == MODE_MULT:
-            # grlex lists the degree <= r monomials first: E_r reads off G
-            E_r = matmul_mod(B_r.data, G[:d_r, : B_r.index.size].T, q)
-            if rank(E_r, q) != d_r:
-                failures["condition2"] += 1
-                continue
-        V = matmul_mod(B.data, G.T, q)
-        K = orthogonal_head_map(V, head_len, q)
-        if K is None:
-            failures["condition2"] += 1
+        points = _sample_distinct_points(point_stream, params.q, params.n, params.ell)
+        G = evaluation_matrix(B.index, params.ctx(), points)
+        defect, V, K = key_defect(params, G)
+        if defect is not None:
+            failures[defect] += 1
             continue
-        # condition 1 needs no elimination of G: it is read off K
-        if not _full_row_rank(G, K, q):
-            failures["condition1"] += 1
-            continue
-
-        found = _choose_secret(params, V, K, tail_stream)
-        if found is None:
+        s = _choose_secret(params, V, K, tail_stream)
+        if s is None:
             failures["tail"] += 1
             continue
-        s, sigma, p = found
-        return SecretKey(params, points, G, s, p, sigma)
+        return SecretKey(params, points, G, s)
 
     worst = max(failures, key=failures.get)
     raise KeyGenError(
@@ -381,14 +405,12 @@ def _choose_secret(
     V: np.ndarray,
     K: np.ndarray,
     stream: RandomStream,
-) -> Optional[Tuple[np.ndarray, int, int]]:
-    """Pick s2, extend it to s = (K·s2, s2) orthogonal to V, derive sigma_s
-    and p. Raises KeyGenError("orthogonality") if V·s is not zero."""
+) -> Optional[np.ndarray]:
+    """Pick s2 and extend it to s = (K·s2, s2) orthogonal to V, until its
+    scales fall in the window. Raises KeyGenError("orthogonality") if V·s is
+    not zero."""
     head_len, tail_len = K.shape
     q = params.q
-    eps = params.epsilon_f
-    alpha_q = params.alpha_f * q
-    h = float(params.headroom)
 
     for attempt in range(_TAIL_ATTEMPTS):
         if params.mode == MODE_ADDITIVE and attempt == 0:
@@ -400,21 +422,13 @@ def _choose_secret(
                 continue
         s2 = s2 % q
         s = np.concatenate([matmul_mod(K, s2, q), s2])
-        sigma = balanced(int(s.sum() % q), q)
-        if sigma == 0:
-            continue
-        if sigma < 0:
+        if balanced(int(s.sum() % q), q) < 0:
             s = (-s) % q  # preserves orthogonality, flips the sum's sign
-            sigma = -sigma
-        norm_s2 = float(np.linalg.norm(balanced(s[head_len:], q)))
-        eta = 2.0 * norm_s2 * h / math.sqrt(eps)
-        p = math.floor(eta * alpha_q / sigma) + 1
-        # the headroom multiplier also caps the message multiple so that
-        # h plaintext units still land inside the balanced window
-        if sigma * p * h <= q // 2:
+        sigma, _, p = _noise_rule(params, s, head_len)
+        if _in_window(params, sigma, p):
             if np.any(matmul_mod(V, s, q)):
                 raise KeyGenError("orthogonality", "the head solve left V·s nonzero")
-            return s, sigma, p
+            return s
     return None
 
 
@@ -536,7 +550,6 @@ def noise_budget(sk: SecretKey) -> NoiseBudget:
     eps = sk.params.epsilon_f
     alpha_q = sk.params.alpha_f * sk.params.q
     norm = sk.s2_norm
-    eta = 2.0 * norm * float(sk.params.headroom) / math.sqrt(eps)
     if alpha_q == 0:
         k = math.inf
     else:
@@ -544,7 +557,7 @@ def noise_budget(sk: SecretKey) -> NoiseBudget:
     return NoiseBudget(
         eps=eps,
         k=k,
-        eta=eta,
+        eta=sk.eta,
         predicted_std_fresh=norm * alpha_q,
         predicted_std_add=math.sqrt(2.0) * norm * alpha_q,
         predicted_std_mult=math.sqrt(2.0) * alpha_q + alpha_q**2 / math.sqrt(sk.p),

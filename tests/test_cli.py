@@ -184,6 +184,21 @@ def test_corrupted_key_field_exit3(tmp_path, toy_paramfile, capsys):
     assert "'s'" in capsys.readouterr().err
 
 
+def test_key_with_a_foreign_p_exit3_names_p(tmp_path, toy_paramfile, capsys):
+    # p = q - 1 is in range but not the noise rule's p for this s: refused
+    # before a decrypt at chance
+    key, ct = str(tmp_path / "key.json"), str(tmp_path / "ct.json")
+    main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])
+    main(["encrypt", "--key", key, "--bit", "1", "--seed", "3", "--out", ct])
+    d = json.loads(open(key).read())
+    d["p"] = d["params"]["q"] - 1
+    open(key, "w").write(json.dumps(d))
+    capsys.readouterr()
+    assert main(["decrypt", "--key", key, "--in", ct]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "'p'" in err
+
+
 def test_ciphertext_out_of_range_exit3(tmp_path, toy_paramfile, capsys):
     key = str(tmp_path / "key.json")
     ct = str(tmp_path / "ct.json")

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from mvphe import Ciphertext, FileFormatError, RandomStream, encrypt, encrypt_batch, eval_key
+from mvphe import (Ciphertext, FileFormatError, RandomStream, encrypt, encrypt_batch, eval_key,
+                   keygen)
 from mvphe.files import (
     load_ciphertext,
     load_evalkey,
@@ -16,6 +17,7 @@ from mvphe.files import (
     save_key,
     save_params,
 )
+from mvphe.presets import toy_additive_params, toy_mult_params
 
 
 @pytest.fixture()
@@ -152,3 +154,54 @@ def test_key_file_with_n_below_the_ideal_slice_names_params(tmp_path, toy_key):
     with pytest.raises(FileFormatError) as exc:
         load_key(path)
     assert exc.value.field == "params"
+
+
+def _rehash(d):
+    d["params_hash"] = params_hash(params_from_dict(d["params"]))
+
+
+def _headroom_1000(d, sk):
+    d["params"]["headroom"] = 1000
+    _rehash(d)
+
+
+def _headroom_1000_derived_p(d, sk):
+    _headroom_1000(d, sk)
+    d["p"] = dataclasses.replace(sk, params=params_from_dict(d["params"])).p
+
+
+@pytest.mark.parametrize(
+    "make_params, line_condition",
+    [(toy_additive_params, "condition1"), (toy_mult_params, "condition2")],
+)
+@pytest.mark.parametrize(
+    "mutate, field, message",
+    [
+        pytest.param(lambda d, sk: d.update(p=sk.params.q - 1), "p", "s and the params give 1",
+                     id="p-q-minus-1"),
+        pytest.param(lambda d, sk: d.update(p=5003), "p", "s and the params give 1", id="p-5003"),
+        pytest.param(lambda d, sk: (d["params"].update(alpha="0.3"), _rehash(d)), "p",
+                     "s and the params give", id="alpha-0.3"),
+        pytest.param(_headroom_1000, "p", "s and the params give", id="headroom-1000"),
+        pytest.param(_headroom_1000_derived_p, "s", "fails keygen's scale check",
+                     id="headroom-1000-derived-p"),
+        pytest.param(lambda d, sk: d.update(points=[[x, (3 * x + 1) % sk.params.q]
+                                                    for x, _ in d["points"]]),
+                     "points", None, id="points-on-a-line"),
+    ],
+)
+def test_key_file_that_keygen_would_refuse_names_the_field(tmp_path, make_params, line_condition,
+                                                           mutate, field, message):
+    # each of these files loaded before load_key judged a key by keygen's
+    # predicate: a p other than the noise rule's decrypts at chance, and
+    # points on the line x2 = 3·x1 + 1 fail a rank condition
+    sk = keygen(make_params(), RandomStream(1))
+    path = tmp_path / "key.json"
+    save_key(path, sk)
+    d = json.loads(path.read_text())
+    mutate(d, sk)
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError) as exc:
+        load_key(path)
+    assert exc.value.field == field
+    assert (message or f"fails keygen's {line_condition} check") in str(exc.value)

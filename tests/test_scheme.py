@@ -168,6 +168,36 @@ def test_keygen_golden_keys_across_seeds(make_params, seeds, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "make_params, seeds",
+    [
+        (toy_additive_params, (1, 42)),
+        (toy_mult_params, (1, 42)),
+        (_q31_mult_params, (42,)),
+        (_small_prime_mult_params, range(1, 101)),
+        (_scaled_q31_shaped_params, (1,)),
+    ],
+)
+def test_keygen_and_load_key_agree(tmp_path, make_params, seeds):
+    # every key of the golden seed ranges passes the predicate keygen judged
+    # it by, loads back, and the loaded scales are keygen's
+    from mvphe.files import load_key, save_key
+
+    params, path, keys = make_params(), tmp_path / "key.json", 0
+    for seed in seeds:
+        try:
+            sk = keygen(params, RandomStream(seed))
+        except KeyGenError:
+            continue
+        assert scheme.key_defect(params, sk.G, sk.s)[0] is None
+        save_key(path, sk)
+        loaded = load_key(path)
+        assert (loaded.p, loaded.sigma_s) == (sk.p, sk.sigma_s)
+        assert np.array_equal(loaded.s, sk.s) and np.array_equal(loaded.G, sk.G)
+        keys += 1
+    assert keys >= 0.8 * len(seeds)
+
+
 def test_encrypt_golden_ciphertext_bytes(tmp_path):
     # at alpha = 0 every noise draw is exactly 0, so the file is platform-stable
     from mvphe.files import load_ciphertext, params_hash, save_ciphertext
@@ -529,13 +559,19 @@ def test_inner_product_agrees_with_python_ints(batch_key):
 
 @pytest.mark.parametrize("r, n", [(1, 2), (2, 3)])
 def test_inner_product_at_the_int64_bound(r, n):
-    # s and c all q - 1 at q = 2^31 - 1: <s, c> is one int64 product at n = 2,
-    # where 2·(q-1)^2 < 2^63, and goes through s's 16-bit limbs at n = 3
+    # s and c q - 1 at q = 2^31 - 1: <s, c> is one int64 product at n = 2,
+    # where 2·(q-1)^2 < 2^63, and goes through s's 16-bit limbs at n = 3.
+    # s's last entry is (q-1)/2 + n - 1, so that sigma_s = (q-1)/2 >= 1 (the
+    # key derives it from s) while <s, c> on the all-(q-1) row passes 2^63
     q = 2**31 - 1
     x = Polynomial.from_terms(MonomialIndex(1, r), FieldContext(q), [(1, (1,))])
     params = SchemeParams(lam=32, q=q, ell=1, r=r, n=n, alpha="0", epsilon="0.01",
                           mode=MODE_ADDITIVE, ideal=IdealSpec([x]))
-    sk = dataclasses.replace(keygen(params, RandomStream(3)), s=np.full(n, q - 1))
+    s = np.full(n, q - 1)
+    s[-1] = q // 2 + n - 1
+    sk = dataclasses.replace(keygen(params, RandomStream(3)), s=s)
+    assert sk.sigma_s == q // 2
+    assert ((n - 1) * (q - 1) ** 2 + (q - 1) * int(s[-1]) >= 2**63) == (n == 3)
     assert (sk._s_limbs is None) == (n == 2)
     C = np.array([np.full(n, q - 1), np.full(n, q - 2), np.arange(1, n + 1)])
     _agree_with_python_ints(sk, C, np.array([0, 1, 0]))
