@@ -62,7 +62,9 @@ class LinearSolveAdversary:
 class IndCpaRankAdversary:
     """Spans encryptions of zero, then tests which candidate message encoding
     the challenge sits on after subtracting p * m * 1. Needs the leaked scale
-    p; exact when the scheme carries no noise."""
+    p; exact when the scheme carries no noise, and in mult mode at any alpha:
+    the first d_2r coordinates carry no noise, so n + 8 encryptions of zero
+    span only d_r + tail_len < n dimensions."""
 
     def run(self, oracles, stream) -> int:
         if oracles.leak is None or oracles.leak.p is None:

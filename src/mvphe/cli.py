@@ -76,7 +76,7 @@ def _cmd_keygen(args) -> int:
     sk = keygen(params, RandomStream(seed))
     files.save_key(args.out, sk)
     if params.mode == MODE_MULT:
-        ek_path = args.evalkey_out or _evalkey_path(args.out)
+        ek_path = _evalkey_path(args.out)
         files.save_evalkey(ek_path, eval_key(sk), files.params_hash(params))
         print(f"wrote {args.out} and {ek_path}")
     else:
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--evalkey-out")
     p.set_defaults(fn=_cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt one bit")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, KeyGenError
 from .field import FieldContext
 from .mvpoly import (
     MONOMIAL_ORDER,
@@ -28,7 +28,7 @@ from .mvpoly import (
     Polynomial,
     evaluation_matrix,
 )
-from .scheme import Ciphertext, EvalKey, SchemeParams, SecretKey, key_defect
+from .scheme import Ciphertext, EvalKey, SchemeParams, SecretKey, key_defect, secret_defect
 
 FILE_VERSION = 1
 
@@ -211,6 +211,8 @@ def load_key(path) -> SecretKey:
     index = MonomialIndex(params.ell, params.enc_degree())
     try:
         sk = SecretKey(params, points, evaluation_matrix(index, ctx, points), s)
+    except KeyGenError as exc:  # s sums to sigma_s < 1
+        raise FileFormatError("s", str(exc))
     except ValueError as exc:  # n below the ideal slice's dimension leaves no tail
         raise FileFormatError("params", str(exc))
     for field, B in (("B_r", sk.B_r), ("B_2r", sk.B_2r)):  # the params determine both
@@ -221,7 +223,8 @@ def load_key(path) -> SecretKey:
         stored, derived = _require(d, field, int), getattr(sk, field)
         if stored != derived:
             raise FileFormatError(field, f"is {stored}, but s and the params give {derived}")
-    defect = key_defect(params, sk.G, s)[0]
+    defect, V, _ = key_defect(params, sk.G)
+    defect = defect or secret_defect(sk, V)
     if defect is not None:
         raise FileFormatError("s" if defect in ("scale", "orthogonality") else "points",
                               f"fails keygen's {defect} check")

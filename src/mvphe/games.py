@@ -342,9 +342,11 @@ def lwe_subspace_instance(s: np.ndarray, q: int, noise: NoiseSpec) -> SubspaceIn
 
 
 def scheme_instance(sk: SecretKey) -> SubspaceInstance:
-    """The scheme-induced instance: evaluated ideal subspace + scheme noise."""
+    """The scheme-induced instance of Theorem 1: the encryption subspace
+    enc_basis·Gᵀ, where encryptions of zero lie, plus the scheme noise."""
+    q = sk.params.q
     return SubspaceInstance(
-        n=sk.n, q=sk.params.q, basis=sk.evaluated_basis(), noise=sk.noise_spec
+        n=sk.n, q=q, basis=matmul_mod(sk.enc_basis, sk.G.T, q), noise=sk.noise_spec
     )
 
 

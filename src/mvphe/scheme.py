@@ -211,7 +211,8 @@ class SecretKey:
     """A key: its n points, the evaluation matrix G at them and the secret s.
     Construction derives everything else from the params once: the bases B_r
     and B_2r (None in additive mode), d_r, head_len and tail_len, enc_basis,
-    noise_spec, and the scales sigma_s and p by the noise rule."""
+    noise_spec, and the scales sigma_s, eta and p by the noise rule. It
+    raises KeyGenError("scale") naming s when sigma_s < 1, since no p fits."""
 
     params: SchemeParams
     points: np.ndarray          # n x ell
@@ -219,24 +220,31 @@ class SecretKey:
     s: np.ndarray               # length n, canonical residues
 
     def __post_init__(self):
-        params = self.params
+        params, q = self.params, self.params.q
         self.B_r = ideal_truncated_basis(params.ideal, params.r)  # d_r x C(ell+r, r)
         # the slice s annihilates, of degree enc_degree(): B_r, or B_2r in mult mode
-        self._B_enc = ideal_truncated_basis(params.ideal, params.enc_degree())
-        self.B_2r = self._B_enc if params.enc_degree() > params.r else None
-        self.d_r, self.head_len = self.B_r.rows, self._B_enc.rows
+        B = ideal_truncated_basis(params.ideal, params.enc_degree())
+        self.B_2r = B if params.enc_degree() > params.r else None
+        self.d_r, self.head_len = self.B_r.rows, B.rows
         self.tail_len = self.n - self.head_len
         # B_r zero-extended to G's columns: grlex lists the degree <= r
         # monomials first, so they are a prefix of the degree-2r index
         self.enc_basis = np.zeros((self.d_r, self.G.shape[1]), dtype=np.int64)
         self.enc_basis[:, : self.B_r.index.size] = self.B_r.data
         # noise lands on the tail only, the coordinates that s2 reads
-        self.noise_spec = NoiseSpec(params.alpha_f, params.q, self.tail_len)
-        self.sigma_s, self.eta, self.p = _noise_rule(params, self.s, self.head_len)
+        self.noise_spec = NoiseSpec(params.alpha_f, q, self.tail_len)
+        # the noise rule, written here only: sigma_s the balanced sum of s,
+        # eta = 2·|s2|·h/sqrt(eps) and p = floor(eta·alpha·q/sigma_s) + 1
+        self.sigma_s = balanced(int(self.s.sum() % q), q)
+        if self.sigma_s < 1:
+            raise KeyGenError("scale", f"s has balanced sum sigma_s={self.sigma_s}, below 1")
+        self.s2_norm = float(np.linalg.norm(balanced(self.s2, q)))
+        self.eta = 2.0 * self.s2_norm * float(params.headroom) / math.sqrt(params.epsilon_f)
+        self.p = math.floor(self.eta * (params.alpha_f * q) / self.sigma_s) + 1
         # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
         # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the
         # limb sums of c @ S stay below n·2^47, exact for every n < 2^16
-        self._s_limbs = (None if _fits_int64(self.n, params.q)
+        self._s_limbs = (None if _fits_int64(self.n, q)
                          else np.stack([self.s >> 16, self.s & 0xFFFF], axis=1))
 
     @property
@@ -254,14 +262,6 @@ class SecretKey:
     @property
     def s2(self) -> np.ndarray:
         return self.s[self.head_len :]
-
-    @property
-    def s2_norm(self) -> float:
-        return float(np.linalg.norm(balanced(self.s2, self.params.q)))
-
-    def evaluated_basis(self) -> np.ndarray:
-        """Rows span the evaluated ideal subspace the secret annihilates."""
-        return matmul_mod(self._B_enc.data, self.G.T, self.params.q)
 
 
 def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]:
@@ -287,27 +287,10 @@ def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]
     return B_r, B, lo, hi
 
 
-def _noise_rule(params: SchemeParams, s: np.ndarray, head_len: int) -> Tuple[int, float, int]:
-    """The noise rule: sigma_s, the balanced sum of s; eta = 2·|s2|·h/sqrt(eps);
-    and p = floor(eta·alpha·q/sigma_s) + 1 (sigma_s < 1, which the window
-    refuses, counts as 1)."""
-    q = params.q
-    sigma = balanced(int(s.sum() % q), q)
-    norm_s2 = float(np.linalg.norm(balanced(s[head_len:], q)))
-    eta = 2.0 * norm_s2 * float(params.headroom) / math.sqrt(params.epsilon_f)
-    return sigma, eta, math.floor(eta * (params.alpha_f * q) / max(sigma, 1)) + 1
-
-
-def _in_window(params: SchemeParams, sigma: int, p: int) -> bool:
-    """The scale window: sigma_s >= 1 and h·sigma_s·p <= floor(q/2), so that
-    h plaintext units still land inside the balanced range."""
-    return sigma >= 1 and sigma * p * float(params.headroom) <= params.q // 2
-
-
-def key_defect(params: SchemeParams, G: np.ndarray, s: Optional[np.ndarray] = None):
-    """KeyGen's acceptance of the points (through G) and, if given, of s:
-    ``(defect, V, K)`` with defect the first failing condition (condition2,
-    condition1, scale, orthogonality) or None, V = B·Gᵀ and K its head map.
+def key_defect(params: SchemeParams, G: np.ndarray):
+    """KeyGen's acceptance of the points, through G: ``(defect, V, K)`` with
+    defect the first failing condition (condition2, condition1) or None,
+    V = B·Gᵀ and K its head map.
 
     Condition 2: the first d_r points separate the degree-r ideal slice, and
     the first head_len points the evaluated one, the head of V. One
@@ -327,19 +310,27 @@ def key_defect(params: SchemeParams, G: np.ndarray, s: Optional[np.ndarray] = No
         return "condition2", V, None
     if not _full_row_rank(G, K, q):
         return "condition1", V, K
-    if s is not None:
-        sigma, _, p = _noise_rule(params, s, B.rows)
-        if not _in_window(params, sigma, p):
-            return "scale", V, K
-        if np.any(matmul_mod(V, s, q)):
-            return "orthogonality", V, K
     return None, V, K
+
+
+def secret_defect(sk: SecretKey, V: np.ndarray) -> Optional[str]:
+    """KeyGen's acceptance of a built key's secret, given V = B·Gᵀ from
+    ``key_defect``: the first failing condition or None. ``scale``:
+    h·sigma_s·p <= floor(q/2), so that h plaintext units still land inside
+    the balanced range (sigma_s >= 1 holds by construction);
+    ``orthogonality``: V·s ≡ 0."""
+    q = sk.params.q
+    if sk.sigma_s * sk.p * float(sk.params.headroom) > q // 2:
+        return "scale"
+    if np.any(matmul_mod(V, sk.s, q)):
+        return "orthogonality"
+    return None
 
 
 def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
     """Generate a secret key, resampling points until ``key_defect`` accepts
     them (a point set that fails both conditions counts under condition2)
-    and tails until the scale window holds.
+    and tails until ``secret_defect`` accepts the key built on one.
 
     Raises KeyGenError (with the most frequent failing condition) when the
     retry budget is exhausted, and ParameterInfeasibleError when no plaintext
@@ -357,11 +348,11 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
         if defect is not None:
             failures[defect] += 1
             continue
-        s = _choose_secret(params, V, K, tail_stream)
-        if s is None:
+        sk = _choose_secret(params, points, G, V, K, tail_stream)
+        if sk is None:
             failures["tail"] += 1
             continue
-        return SecretKey(params, points, G, s)
+        return sk
 
     worst = max(failures, key=failures.get)
     raise KeyGenError(
@@ -400,16 +391,13 @@ def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> n
     return np.array(points, dtype=np.int64)
 
 
-def _choose_secret(
-    params: SchemeParams,
-    V: np.ndarray,
-    K: np.ndarray,
-    stream: RandomStream,
-) -> Optional[np.ndarray]:
-    """Pick s2 and extend it to s = (K·s2, s2) orthogonal to V, until its
-    scales fall in the window. Raises KeyGenError("orthogonality") if V·s is
+def _choose_secret(params: SchemeParams, points: np.ndarray, G: np.ndarray, V: np.ndarray,
+                   K: np.ndarray, stream: RandomStream) -> Optional[SecretKey]:
+    """Pick s2, extend it to s = (K·s2, s2) orthogonal to V and build the key
+    on it, until ``secret_defect`` accepts one. A zero sum is skipped unbuilt
+    and a negative one negated. Raises KeyGenError("orthogonality") if V·s is
     not zero."""
-    head_len, tail_len = K.shape
+    tail_len = K.shape[1]
     q = params.q
 
     for attempt in range(_TAIL_ATTEMPTS):
@@ -422,13 +410,16 @@ def _choose_secret(
                 continue
         s2 = s2 % q
         s = np.concatenate([matmul_mod(K, s2, q), s2])
-        if balanced(int(s.sum() % q), q) < 0:
-            s = (-s) % q  # preserves orthogonality, flips the sum's sign
-        sigma, _, p = _noise_rule(params, s, head_len)
-        if _in_window(params, sigma, p):
-            if np.any(matmul_mod(V, s, q)):
-                raise KeyGenError("orthogonality", "the head solve left V·s nonzero")
-            return s
+        sigma = balanced(int(s.sum() % q), q)
+        if sigma == 0:
+            continue  # no scale fits a zero sum
+        # negation preserves orthogonality and flips the sum's sign
+        sk = SecretKey(params, points, G, s if sigma > 0 else (-s) % q)
+        defect = secret_defect(sk, V)
+        if defect == "orthogonality":
+            raise KeyGenError("orthogonality", "the head solve left V·s nonzero")
+        if defect is None:
+            return sk
     return None
 
 

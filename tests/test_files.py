@@ -185,6 +185,8 @@ def _headroom_1000_derived_p(d, sk):
         pytest.param(_headroom_1000, "p", "s and the params give", id="headroom-1000"),
         pytest.param(_headroom_1000_derived_p, "s", "fails keygen's scale check",
                      id="headroom-1000-derived-p"),
+        pytest.param(lambda d, sk: d.update(s=((-sk.s) % sk.params.q).tolist()), "s",
+                     "s has balanced sum sigma_s=-", id="s-negated"),
         pytest.param(lambda d, sk: d.update(points=[[x, (3 * x + 1) % sk.params.q]
                                                     for x, _ in d["points"]]),
                      "points", None, id="points-on-a-line"),
@@ -194,7 +196,8 @@ def test_key_file_that_keygen_would_refuse_names_the_field(tmp_path, make_params
                                                            mutate, field, message):
     # each of these files loaded before load_key judged a key by keygen's
     # predicate: a p other than the noise rule's decrypts at chance, and
-    # points on the line x2 = 3·x1 + 1 fail a rank condition
+    # points on the line x2 = 3·x1 + 1 fail a rank condition; a negated s,
+    # whose sum leaves no p, is refused as the key is built, naming s
     sk = keygen(make_params(), RandomStream(1))
     path = tmp_path / "key.json"
     save_key(path, sk)

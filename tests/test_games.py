@@ -11,6 +11,7 @@ from mvphe import (
     SchemeParams,
     decrypt,
     encrypt,
+    encrypt_batch,
     NoiseSpec,
     ProtocolViolationError,
     RandomStream,
@@ -47,7 +48,7 @@ from mvphe.games import (
     uniform_subspace_instance,
 )
 from mvphe.linalg import in_rowspace
-from mvphe.presets import toy_additive_params, toy_ideal
+from mvphe.presets import toy_additive_params, toy_ideal, toy_mult_params
 
 Q = 10007
 
@@ -523,6 +524,28 @@ def test_theorem1_full_advantage_at_zero_noise(q):
     native, wrapped = res["native_indcpa"], res["wrapped_hsm"]
     assert native.wins == native.trials  # every noiseless game is won
     assert abs(wrapped.advantage - 0.25) <= 3 * wrapped.ci_halfwidth
+
+
+@pytest.mark.parametrize("make_params", [toy_additive_params, toy_mult_params])
+def test_scheme_instance_is_the_encryption_subspace(make_params):
+    # the Theorem 1 instance spans enc_basis·Gᵀ, where encryptions of zero
+    # lie: its noisy members are the encryptions of zero the same draws make
+    # (in mult mode, not the larger slice B_2r·Gᵀ that s annihilates)
+    sk = keygen(make_params(), RandomStream(1))
+    served = HsmOracles(scheme_instance(sk), RandomStream(9)).samples(5)
+    stream = RandomStream(9)
+    stream.coin()  # the oracle's β draw
+    assert np.array_equal(served, encrypt_batch(sk, [0] * 5, stream))
+
+
+def test_theorem1_inequality_rank_mult_mode():
+    # the rank adversary wins every mult-mode game at the default alpha (the
+    # d_2r head coordinates carry no noise), and the wrapped game must carry
+    # half of that over to the HSM instance
+    res = theorem1_experiment(toy_mult_params(), IndCpaRankAdversary(), 400, RandomStream(11))
+    native, wrapped = res["native_indcpa"], res["wrapped_hsm"]
+    assert native.wins == native.trials
+    assert wrapped.advantage >= native.advantage / 2 - 3 * joint_ci(native, wrapped)
 
 
 def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):

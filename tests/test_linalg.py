@@ -12,6 +12,7 @@ from mvphe.linalg import (
     rref,
     solve_linear,
 )
+from mvphe.scheme import key_defect
 
 Q = 10007
 Q31 = 2**31 - 1
@@ -146,7 +147,7 @@ def test_solve_head_dimension_check():
 
 def test_solve_head_never_fails_on_keygen_subspace(mult_key):
     # conditions 1-2 guarantee the head block is invertible
-    V = mult_key.evaluated_basis()
+    V = key_defect(mult_key.params, mult_key.G)[1]
     K = orthogonal_head_map(V, mult_key.head_len, Q)
     assert K is not None
     stream = RandomStream(77)

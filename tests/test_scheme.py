@@ -189,7 +189,8 @@ def test_keygen_and_load_key_agree(tmp_path, make_params, seeds):
             sk = keygen(params, RandomStream(seed))
         except KeyGenError:
             continue
-        assert scheme.key_defect(params, sk.G, sk.s)[0] is None
+        defect, V, _ = scheme.key_defect(params, sk.G)
+        assert defect is None and scheme.secret_defect(sk, V) is None
         save_key(path, sk)
         loaded = load_key(path)
         assert (loaded.p, loaded.sigma_s) == (sk.p, sk.sigma_s)
@@ -314,7 +315,7 @@ def test_additive_key_invariants(toy_key):
     E = matmul_mod(sk.B_r.data, sk.G[: sk.d_r].T, q)
     assert rank(E, q) == sk.d_r
     # orthogonality of s against the whole evaluated basis
-    assert not np.any(matmul_mod(sk.evaluated_basis(), sk.s, q))
+    assert not np.any(matmul_mod(scheme.key_defect(sk.params, sk.G)[1], sk.s, q))
     # sigma and p bounds
     assert 0 < sk.sigma_s * sk.p <= q // 2
     assert math.gcd(sk.p, q) == 1
@@ -334,7 +335,6 @@ def test_additive_shortcut_tail_preferred(toy_params):
 def test_mult_key_orthogonal_to_b2r_rowspace(mult_key):
     sk = mult_key
     stream = RandomStream(21)
-    V = sk.evaluated_basis()
     for _ in range(100):
         u = stream.uniform_fq(Q, size=sk.d_2r)
         f = matmul_mod(u.reshape(1, -1), sk.B_2r.data, Q)[0]
@@ -575,6 +575,20 @@ def test_inner_product_at_the_int64_bound(r, n):
     assert (sk._s_limbs is None) == (n == 2)
     C = np.array([np.full(n, q - 1), np.full(n, q - 2), np.arange(1, n + 1)])
     _agree_with_python_ints(sk, C, np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("key", ["toy_key", "mult_key"])
+def test_key_refuses_a_secret_whose_sum_is_below_one(request, key):
+    # no p fits sigma_s < 1: the key is refused at construction, naming s,
+    # rather than built with a p that decrypt cannot round by
+    sk = request.getfixturevalue(key)
+    q = sk.params.q
+    with pytest.raises(KeyGenError, match=r"\bs has balanced sum sigma_s=-"):
+        dataclasses.replace(sk, s=(-sk.s) % q)
+    s = sk.s.copy()
+    s[-1] = (s[-1] - sk.sigma_s) % q  # the balanced sum becomes 0
+    with pytest.raises(KeyGenError, match="sigma_s=0"):
+        dataclasses.replace(sk, s=s)
 
 
 def test_encrypt_batch_rejects_non_bits(toy_key):
