@@ -2,7 +2,8 @@
 noise benchmarking, security games, and parameter checking.
 
 Exit codes: 0 success, 2 usage, 3 validation failure (the message names the
-violated invariant or field), 4 key generation infeasible.
+violated invariant or field) or an OS error (naming the path), 4 key
+generation infeasible.
 """
 
 from __future__ import annotations
@@ -347,15 +348,12 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (FileFormatError, ValueError, DepthError, UnsupportedOperationError,
-            ProtocolViolationError) as exc:
+            ProtocolViolationError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except KeyGenError as exc:
         print(f"keygen infeasible: {exc}", file=sys.stderr)
         return EXIT_KEYGEN
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -255,8 +255,7 @@ class _HsmViewOfDlwe:
     def samples(self, k: int) -> np.ndarray:
         return self._convert(*self._inner.samples(k))
 
-    def sample(self):
-        return self.samples(1)[0]
+    sample = HsmOracles.sample
 
     def challenge(self):
         a, b = self._inner.challenge()
@@ -290,6 +289,8 @@ class _IndCpaViewOfHsm:
         """k Sample outputs as rows, from one batched Sample call."""
         return self._inner.samples(k)
 
+    encrypt_zero = IndCpaOracles.encrypt_zero
+
     def left_right(self, m0: int, m1: int) -> Ciphertext:
         _check_challenge_messages(m0, m1)
         v = self._inner.challenge()
@@ -302,7 +303,7 @@ class Theorem1Adversary:
     game against the hidden subspace, answer 1 exactly when the inner
     adversary wins the simulation."""
 
-    def __init__(self, indcpa_adversary, p: int, leak: Optional[Leak] = None):
+    def __init__(self, indcpa_adversary, p: int, leak: Optional[Leak]):
         self.inner = indcpa_adversary
         self.p = p
         self.leak = leak

@@ -60,20 +60,15 @@ class RandomStream:
     def unit_uniform(self, size=None):
         return (self._gen or self._seed()).random(size=size)
 
-    def gaussian(self, std: float, size=None):
+    def gaussian(self, std: float, size):
         """Zero-mean normal draws via the Box-Muller transform; ``size`` is a
         count or a shape, filled in row-major order from one draw."""
-        if size is None:
-            n = 1
-        else:
-            n = math.prod(size) if isinstance(size, tuple) else int(size)
+        n = math.prod(size) if isinstance(size, tuple) else int(size)
         pairs = (n + 1) // 2
         u = self.unit_uniform(2 * pairs)  # the u1 block, then the u2 block
         radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))  # 1 - u1 in (0, 1]: log stays finite
         theta = _TWO_PI * u[pairs:]
         z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n] * float(std)
-        if size is None:
-            return float(z[0])
         return z.reshape(size)
 
     def __repr__(self):
@@ -91,7 +86,7 @@ class NoiseSpec:
 
     alpha: float
     q: int
-    support_len: int = 0
+    support_len: int
 
     def __post_init__(self):
         if not (0 <= self.alpha < math.inf):

@@ -90,10 +90,9 @@ class SchemeParams:
             raise ValueError("q must be an odd prime >= 3")
         if self.mode not in (MODE_ADDITIVE, MODE_MULT):
             raise ValueError(f"mode must be {MODE_ADDITIVE} or {MODE_MULT}, got {self.mode!r}")
-        if self.ell < 1 or self.r < 1:
-            raise ValueError("need ell >= 1 and r >= 1")
         if not (0 < self.n < self.q):
             raise ValueError(f"need 0 < n < q, got n={self.n}, q={self.q}")
+        # monomial_count refuses ell < 1 and r < 1
         if self.n > monomial_count(self.ell, self.enc_degree()):
             raise ValueError(
                 f"n={self.n} exceeds the evaluation dimension "
@@ -125,9 +124,6 @@ class SchemeParams:
     def epsilon_f(self) -> float:
         return float(self.epsilon)
 
-    def ctx(self) -> FieldContext:
-        return self.ideal.ctx  # validate() checked that its q is self.q
-
     def canonical_dict(self) -> dict:
         gens = []
         for g in self.ideal.generators:
@@ -153,9 +149,10 @@ class Ciphertext:
     """A length-n vector over F_q plus homomorphic-operation counters; ``c``
     may also be a k×n stack of rows that share the counters.
 
-    The constructor takes any nonempty 1-d or 2-d integer array and stores its
-    canonical int64 residues. The library builds the ciphertexts it computes
-    through :meth:`_reduced`, which stores them as they are.
+    The constructor takes an int q >= 2 and any nonempty 1-d or 2-d integer
+    array, and stores the array's canonical int64 residues. The library builds
+    the ciphertexts it computes through :meth:`_reduced`, which stores them as
+    they are.
     """
 
     c: np.ndarray
@@ -164,6 +161,8 @@ class Ciphertext:
     mults: int = 0
 
     def __post_init__(self):
+        if type(self.q) is not int or self.q < 2:  # bool is an int subclass
+            raise ValueError(f"q must be an int >= 2, got {self.q!r}")
         c = np.asarray(self.c)
         if c.dtype.kind not in "iu" or c.ndim not in (1, 2) or c.size == 0:
             raise ValueError(f"c must be a nonempty 1-d or 2-d integer array, "
@@ -249,7 +248,7 @@ class SecretKey:
 
     @property
     def ctx(self) -> FieldContext:
-        return self.params.ctx()
+        return self.params.ideal.ctx  # validate() tied its q to params.q
 
     @property
     def n(self) -> int:
@@ -269,16 +268,16 @@ def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]
     enc_degree(): B_r itself in additive mode) and the admissible range
     [lo, hi] of sigma_s*p; keygen and check-params both decide by it.
 
-    Raises KeyGenError("dimension") unless dim(ideal slice) < n <= N_enc, and
-    ParameterInfeasibleError("scale") when even the best case |s2| = 1 (that
-    is, sigma_s*p > 2h*alpha*q/sqrt(eps)) leaves no sigma_s*p <= floor(q/2)/h.
+    Raises KeyGenError("dimension") unless dim(ideal slice) < n (validate
+    bounds n by N_enc), and ParameterInfeasibleError("scale") when even the
+    best case |s2| = 1 (that is, sigma_s*p > 2h*alpha*q/sqrt(eps)) leaves no
+    sigma_s*p <= floor(q/2)/h.
     """
     q, n, h = params.q, params.n, float(params.headroom)
     B_r = ideal_truncated_basis(params.ideal, params.r)
     B = ideal_truncated_basis(params.ideal, params.enc_degree())
-    N_enc = B.index.size
-    if not (B.rows < n <= N_enc):
-        raise KeyGenError("dimension", f"need dim(ideal slice)={B.rows} < n={n} <= {N_enc}")
+    if B.rows >= n:
+        raise KeyGenError("dimension", f"need dim(ideal slice)={B.rows} < n={n}")
     lo = math.floor(2.0 * h * params.alpha_f * q / math.sqrt(params.epsilon_f)) + 1
     hi = math.floor((q // 2) / h)
     if lo > hi:
@@ -343,7 +342,7 @@ def keygen(params: SchemeParams, stream: RandomStream) -> SecretKey:
 
     for _ in range(_POINT_ATTEMPTS):
         points = _sample_distinct_points(point_stream, params.q, params.n, params.ell)
-        G = evaluation_matrix(B.index, params.ctx(), points)
+        G = evaluation_matrix(B.index, params.ideal.ctx, points)
         defect, V, K = key_defect(params, G)
         if defect is not None:
             failures[defect] += 1
@@ -406,8 +405,6 @@ def _choose_secret(params: SchemeParams, points: np.ndarray, G: np.ndarray, V: n
             s2[-1] = 1  # the additive-only shortcut tail (0, ..., 0, 1)
         else:
             s2 = stream.ternary(tail_len)
-            if not np.any(s2):
-                continue
         s2 = s2 % q
         s = np.concatenate([matmul_mod(K, s2, q), s2])
         sigma = balanced(int(s.sum() % q), q)

@@ -51,6 +51,22 @@ def test_keygen_deterministic_bytes(tmp_path, toy_paramfile):
     assert open(k1, "rb").read() == open(k2, "rb").read()
 
 
+def test_keygen_takes_the_params_file_seed(tmp_path, capsys):
+    path, by_file, by_flag = (tmp_path / x for x in ("p.json", "k1.json", "k2.json"))
+    save_params(path, toy_additive_params(), seed=5)
+    assert main(["keygen", "--params", str(path), "--out", str(by_file)]) == 0
+    assert "no seed given" not in capsys.readouterr().err
+    main(["keygen", "--params", str(path), "--seed", "5", "--out", str(by_flag)])
+    assert by_file.read_bytes() == by_flag.read_bytes()
+
+
+def test_keygen_out_without_json_suffix_names_the_eval_key(tmp_path, mult_paramfile, capsys):
+    key = tmp_path / "key"
+    assert main(["keygen", "--params", mult_paramfile, "--seed", "5", "--out", str(key)]) == 0
+    assert capsys.readouterr().out == f"wrote {key} and {key}.evk.json\n"
+    assert load_evalkey(f"{key}.evk.json")[0] == eval_key(load_key(key))
+
+
 def test_encrypt_deterministic_bytes(tmp_path, toy_paramfile):
     key = str(tmp_path / "key.json")
     main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])
@@ -277,6 +293,29 @@ def test_hash_mismatch_exit3(tmp_path, toy_paramfile, mult_paramfile, capsys):
     capsys.readouterr()
     assert main(["decrypt", "--key", k2, "--in", c1]) == 3
     assert "params_hash" in capsys.readouterr().err
+    c2, out, evk = str(tmp_path / "c2.json"), tmp_path / "out.json", tmp_path / "k2.evk.json"
+    main(["encrypt", "--key", k2, "--bit", "0", "--seed", "4", "--out", c2])
+    assert main(["add", "--in", c1, "--in", c2, "--out", str(out)]) == 3
+    assert main(["mul", "--in", c1, "--in", c2, "--evalkey", str(evk), "--out", str(out)]) == 3
+    d = json.loads(evk.read_text())
+    evk.write_text(json.dumps({**d, "params_hash": "0" * 64}))  # an eval key of other params
+    assert main(["mul", "--in", c2, "--in", c2, "--evalkey", str(evk), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count("params_hash") == 3 and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["decrypt --in", "decrypt --key", "keygen --out"])
+def test_a_directory_for_a_file_exits_3_naming_it(tmp_path, toy_paramfile, flag, capsys):
+    key, folder = str(tmp_path / "key.json"), tmp_path / "folder"
+    folder.mkdir()
+    main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])
+    argv = {"decrypt --in": ["decrypt", "--key", key, "--in", str(folder)],
+            "decrypt --key": ["decrypt", "--key", str(folder), "--in", key],
+            "keygen --out": ["keygen", "--params", toy_paramfile, "--seed", "1",
+                             "--out", str(folder)]}[flag]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert str(folder) in captured.err and captured.out == ""
 
 
 def test_load_save_identity_all_file_types(tmp_path, toy_key, mult_key):
@@ -448,6 +487,21 @@ def test_indcpa_game_ignores_q(reduction, capsys):
     default = capsys.readouterr().out
     assert main([*argv, "--q", "10000"]) == 0
     assert capsys.readouterr().out == default
+
+
+def test_indcpa_game_plays_under_its_params_file(mult_paramfile, capsys):
+    from mvphe import estimate_advantage, indcpa_game
+    from mvphe.adversaries import IndCpaRankAdversary
+
+    argv = ["game", "indcpa", "--adversary", "rank", "--trials", "100", "--seed", "3", "--json"]
+    assert main([*argv, "--params", mult_paramfile]) == 0
+    wins = json.loads(capsys.readouterr().out)["indcpa"]["wins"]
+    params = toy_mult_params()
+    expect = estimate_advantage(lambda adv, sub: indcpa_game(params, adv, sub),
+                                IndCpaRankAdversary(), 100, RandomStream(3))
+    assert wins == expect.wins
+    assert main(argv) == 0  # the default, toy additive, plays another game
+    assert json.loads(capsys.readouterr().out)["indcpa"]["wins"] != wins
 
 
 def test_game_reduction_usage_errors(capsys):

@@ -56,6 +56,34 @@ def _true(_):
         pytest.param("ek", ("p_inverse",), _true, "p_inverse", id="ek-bool-p-inverse"),
         pytest.param("ek", ("n",), float, "n", id="ek-float-n"),
         pytest.param("ek", ("q",), lambda v: 10008, "q", id="ek-nonprime-q"),
+        pytest.param("key", ("version",), lambda v: 2, "version", id="key-version-2"),
+        pytest.param("ct", ("version",), str, "version", id="ct-string-version"),
+        pytest.param("key", ("params_hash",), lambda v: "0" * 64, "params_hash",
+                     id="key-foreign-params-hash"),
+        pytest.param("key", ("monomial_order",), lambda v: "lex", "monomial_order",
+                     id="key-lex-order"),
+        pytest.param("key", ("params",), lambda v: {k: x for k, x in v.items() if k != "mode"},
+                     "mode", id="params-missing-mode"),
+        pytest.param("key", ("params", "alpha"), lambda v: v + "x", "alpha",
+                     id="params-non-decimal-alpha"),
+        pytest.param("key", ("params", "ell"), lambda v: 0, "ell", id="params-ell-0"),
+        pytest.param("key", ("params", "r"), lambda v: 0, "r", id="params-r-0"),
+        pytest.param("key", ("params", "ideal", 0), lambda v: [], "ideal",
+                     id="ideal-empty-generator"),
+        pytest.param("key", ("params", "ideal", 0, 0), lambda v: {"coeff": v["coeff"]}, "ideal",
+                     id="ideal-term-without-exps"),
+        pytest.param("key", ("params", "ideal", 0, 0, "coeff"), lambda v: -1, "ideal",
+                     id="ideal-negative-coeff"),
+        pytest.param("key", ("params", "ideal", 0, 0, "exps", 0), float, "ideal",
+                     id="ideal-float-exponent"),
+        pytest.param("key", ("params", "ideal", 0, 0, "exps", 0), _true, "ideal",
+                     id="ideal-bool-exponent"),
+        pytest.param("key", ("params", "ideal", 0, 0, "exps"), lambda v: v + [0], "ideal",
+                     id="ideal-exps-too-long"),
+        pytest.param("key", ("params", "ideal", 0, 0, "exps"), lambda v: [-1, 1], "ideal",
+                     id="ideal-negative-exponent"),
+        pytest.param("key", ("params", "ideal", 0, 0, "exps"), lambda v: [3, 0], "ideal",
+                     id="ideal-degree-above-r"),
     ],
 )
 def test_malformed_artifact_names_field(artifacts, kind, where, change, field):
@@ -69,6 +97,21 @@ def test_malformed_artifact_names_field(artifacts, kind, where, change, field):
     with pytest.raises(FileFormatError) as exc:
         LOADERS[kind](path)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("text", ["{", "[]"])
+def test_file_that_is_not_a_json_object_names_json(artifacts, kind, text):
+    artifacts[kind].write_text(text)
+    with pytest.raises(FileFormatError) as exc:
+        LOADERS[kind](artifacts[kind])
+    assert exc.value.field == "json"
+
+
+def test_params_that_are_not_an_object_name_params(toy_params):
+    with pytest.raises(FileFormatError) as exc:
+        params_from_dict([toy_params.canonical_dict()])
+    assert exc.value.field == "params"
 
 
 def test_deleted_literal_mult_noise_key_is_refused(tmp_path, artifacts, mult_key):
@@ -94,6 +137,7 @@ def test_params_round_trip_every_accepted_lambda(tmp_path, toy_params, lam):
     save_params(tmp_path / "p.json", params)
     loaded, _ = load_params(tmp_path / "p.json")
     assert loaded.lam == lam and loaded.canonical_dict() == params.canonical_dict()
+    assert loaded == params  # compares the ideal's polynomials and their indexes
     d = json.loads((tmp_path / "p.json").read_text())
     with pytest.raises(FileFormatError, match="lambda"):
         params_from_dict({**d, "lambda": 0})

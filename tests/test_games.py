@@ -82,6 +82,18 @@ def _small_instance(stream, alpha=0.0, n=12, l=6):
     return uniform_subspace_instance(n, Q, l, noise, stream)
 
 
+class _OneSampleThenCoin:
+    """Takes one sample by the k = 1 call ``name`` (``sample`` or
+    ``encrypt_zero``), keeps it, then guesses a coin."""
+
+    def __init__(self, name):
+        self.name, self.got = name, []
+
+    def run(self, oracles, stream):
+        self.got.append(getattr(oracles, self.name)())
+        return stream.coin()
+
+
 # ---------------------------------------------------------------------------
 # estimate_advantage
 
@@ -548,6 +560,28 @@ def test_theorem1_inequality_rank_mult_mode():
     assert wrapped.advantage >= native.advantage / 2 - 3 * joint_ci(native, wrapped)
 
 
+def test_theorem1_view_answers_encrypt_zero(toy_key):
+    # Theorem 1 wraps any IND-CPA adversary, so its view answers every call
+    # the real oracles answer; encrypt_zero once raised AttributeError there
+    adv = _OneSampleThenCoin("encrypt_zero")
+    res = theorem1_experiment(toy_additive_params(), adv, 100, RandomStream(1))
+    assert res["wrapped_hsm"].trials == 100 and len(adv.got) == 200
+    assert all(isinstance(ct, Ciphertext) and ct.c.shape == (5,) for ct in adv.got)
+    view = games._IndCpaViewOfHsm(HsmOracles(scheme_instance(toy_key), RandomStream(163)),
+                                  toy_key.p, 0, None)
+    served = HsmOracles(scheme_instance(toy_key), RandomStream(163)).sample()
+    assert np.array_equal(view.encrypt_zero().c, served)
+
+
+def test_lemma1_view_answers_sample():
+    adv = _OneSampleThenCoin("sample")
+    noise = NoiseSpec(8.0 / Q, Q, 1)
+    dlwe_game(8, Q, noise, Lemma1Adversary(adv), RandomStream(164))
+    (v,) = adv.got
+    a, b = DlweOracles(8, Q, noise, RandomStream(164).derive(0)).sample()
+    assert v.tolist() == [*a.tolist(), (-b) % Q]
+
+
 def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
     orc, inner, _ = _theorem1_run(toy_key, 139)
     (samples,) = orc.replies("samples")
@@ -568,6 +602,9 @@ def test_subspace_instance_validation():
             n=2, q=Q, basis=np.eye(2, dtype=np.int64),
             noise=NoiseSpec(0.0, Q, 1),
         )
+    for basis in (np.eye(2, 3, dtype=np.int64), np.arange(4)):
+        with pytest.raises(ValueError, match="basis must be a matrix of width n"):
+            SubspaceInstance(n=4, q=Q, basis=basis, noise=NoiseSpec(0.0, Q, 1))
 
 
 def test_identity_head_basis_skips_the_rank_check(monkeypatch):
@@ -611,6 +648,32 @@ def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
     assert calls == [(6, 12)] and inst.dim == 6
     with pytest.raises(ValueError):  # a shape error is not retried as a dependent draw
         uniform_subspace_instance(4, Q, 4, NoiseSpec(0.0, Q, 1), RandomStream(144))
+
+    class ZeroStream:  # every basis it draws is dependent
+        def uniform_fq(self, q, size):
+            return np.zeros(size, dtype=np.int64)
+
+    calls.clear()
+    with pytest.raises(RuntimeError, match="could not sample an independent basis"):
+        uniform_subspace_instance(4, Q, 2, NoiseSpec(0.0, Q, 2), ZeroStream())
+    assert calls == [(2, 4)] * 64
+
+
+def _view_without_leak(key):
+    return games._IndCpaViewOfHsm(HsmOracles(scheme_instance(key), RandomStream(165)),
+                                  key.p, 0, None)
+
+
+@pytest.mark.parametrize("adversary, make_oracles, needs", [
+    (KnownSecretAdversary(), lambda key: HsmOracles(scheme_instance(key), RandomStream(165)),
+     "leaked secret vector"),
+    (IndCpaRankAdversary(), _view_without_leak, "leaked scale p"),
+    (KeyLeakAdversary(), _view_without_leak, "leaked secret key"),
+])
+def test_harness_adversaries_refuse_to_run_without_their_leak(toy_key, adversary, make_oracles,
+                                                              needs):
+    with pytest.raises(ValueError, match=needs):
+        adversary.run(make_oracles(toy_key), RandomStream(166))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,8 @@ def test_solve_linear_roundtrip_and_inconsistent():
     # an inconsistent system: two contradictory copies of one equation
     A2 = np.array([[1, 2], [1, 2]])
     assert solve_linear(A2, np.array([1, 3]), Q) is None
+    with pytest.raises(ValueError, match="rhs length"):
+        solve_linear(A, b[:-1], Q)
 
 
 def _extend(K, s2, q):

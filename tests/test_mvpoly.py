@@ -51,12 +51,16 @@ def test_monomial_count_examples():
         monomial_count(0, 2)
     with pytest.raises(ValueError):
         monomial_count(2, 0)
+    for ell, r in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match=f"need ell >= 1 and r >= 0, got ell={ell}, r={r}"):
+            MonomialIndex(ell, r)
 
 
 def test_monomial_order_matches_listed_sequence():
     # 1, x1, x2, x1^2, x1*x2, x2^2
     idx = MonomialIndex(2, 2)
     assert idx.exponents == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert repr(idx) == "MonomialIndex(ell=2, r=2, size=6)"
 
 
 @pytest.mark.parametrize("ell,r", [(1, 3), (2, 2), (3, 4), (4, 2)])
@@ -178,6 +182,10 @@ def test_poly_mul_examples():
     # grlex lists degree <= 2 first, so f sits in the prefix of the degree-4 index
     prod = poly_mul(f, one).coeffs
     assert np.array_equal(prod[: idx.size], f.coeffs) and not np.any(prod[idx.size :])
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        poly_mul(x1, Polynomial.from_terms(MonomialIndex(3, 2), CTX, [(1, (1, 0, 0))]))
+    with pytest.raises(ValueError, match="field mismatch"):
+        poly_mul(x1, Polynomial.from_terms(idx, FieldContext(17), [(1, (0, 1))]))
 
 
 def test_poly_mul_pointwise_identity():
@@ -261,6 +269,8 @@ def test_ideal_spec_validation():
         IdealSpec([])
     with pytest.raises(ValueError):
         IdealSpec([Polynomial(idx, CTX, np.zeros(idx.size, dtype=np.int64))])
+    with pytest.raises(ValueError, match="coefficient vector length"):
+        Polynomial(idx, CTX, np.ones(idx.size + 1, dtype=np.int64))
     other = Polynomial.from_terms(MonomialIndex(3, 2), CTX, [(1, (1, 0, 0))])
     with pytest.raises(ValueError):
         IdealSpec([_circle_poly(), other])

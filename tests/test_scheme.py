@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,9 +71,16 @@ def test_params_validation_errors():
     bad += [(name, value, f"{name} must be an int") for name, value in (
         ("n", 5.0), ("n", True), ("ell", 2.0), ("r", 2.0), ("q", 10007.0), ("headroom", True))]
     bad += [("q", 10000, "q must be prime, got 10000")]  # not the ideal's q, so tested here
+    bad += [("q", 2, "q must be an odd prime >= 3"), ("alpha", "0.0008x", "not a decimal number"),
+            ("ell", 0, "need ell >= 1 and r >= 1, got ell=0, r=2"),
+            ("r", 0, "need ell >= 1 and r >= 1, got ell=2, r=0")]
+    three_variables = Polynomial.from_terms(MonomialIndex(3, 2), FieldContext(Q), [(1, (1, 0, 0))])
+    bad += [("ideal", ideal, "ideal generators must live over") for ideal in (
+        toy_ideal(17), IdealSpec([three_variables]))]
+    bad += [("r", 1, "generator degree 2 exceeds r=1")]
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
-            SchemeParams(**{**dict(lam=32, q=Q, ell=2, r=2, n=5, alpha="0.0008", epsilon="0.01",
+            SchemeParams(**{**dict(lam=32, q=Q, ell=2, r=2, n=3, alpha="0.0008", epsilon="0.01",
                                    mode=MODE_ADDITIVE, ideal=toy_ideal()), name: value})
 
 
@@ -697,6 +705,13 @@ def test_ciphertext_constructor_enforces_its_contract():
                            ([[1, -2], [Q, 4]], [[1, Q - 2], [0, 4]])):
         ct = Ciphertext(good, Q)
         assert ct.c.dtype == np.int64 and ct.c.tolist() == residues
+    # a float q once stored float64 residues that decrypted, and q = 0 zeros
+    for q in (10007.0, True, 0, 1, -5, None, "10007", np.int64(Q)):
+        with pytest.raises(ValueError, match=re.escape(f"q must be an int >= 2, got {q!r}")):
+            Ciphertext([1, 2, 3, 4, 5], q)
+    for counter in ("adds", "mults"):
+        with pytest.raises(ValueError, match="operation counters must be nonnegative"):
+            Ciphertext([1, 2], Q, **{counter: -1})
 
 
 def test_hom_ops_compute_fresh_canonical_residues(batch_key):
@@ -728,6 +743,15 @@ def test_hom_add_dimension_mismatch(toy_key, mult_key):
     c2 = encrypt(mult_key, 0, stream.derive(1))
     with pytest.raises(ValueError):
         hom_add(c1, c2)
+
+
+def test_hom_mult_refuses_mismatched_shapes_and_eval_keys(mult_key):
+    ek, C = eval_key(mult_key), encrypt_batch(mult_key, [0, 1, 1], RandomStream(43))
+    with pytest.raises(ValueError, match="share one q and one shape"):
+        hom_mult(Ciphertext(C[:2], Q), Ciphertext(C[2], Q), ek)
+    for other in (dataclasses.replace(ek, n=ek.n + 1), dataclasses.replace(ek, q=10009)):
+        with pytest.raises(ValueError, match="evaluation key does not match"):
+            hom_mult(Ciphertext(C[0], Q), Ciphertext(C[1], Q), other)
 
 
 def test_decrypt_and_noise_measure_reject_foreign_ciphertext(toy_key, mult_key):
@@ -931,6 +955,8 @@ def test_noise_bench_tail_statistics(toy_key):
     trials = 600
     rows = noise_bench(sk, trials, RandomStream(14))
     assert set(rows) == {"fresh", "add"}
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        noise_bench(sk, 0, RandomStream(14))
     for row in rows.values():
         assert 0 <= row["p999_abs_noise"] <= row["max_abs_noise"]
         assert row["margin"] == sk.sigma_s * sk.p / 2 - row["max_abs_noise"]
