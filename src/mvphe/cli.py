@@ -235,19 +235,18 @@ def _game_fn(args):
     """One trial of the plain (unreduced) game: game_fn(adversary, stream)."""
     if args.game == "hsm":
         noise = _game_noise(args, max(args.n - args.l, 0))
-        q = noise.q
 
         def game_fn(adv, sub):
-            inst = games.uniform_subspace_instance(args.n, q, args.l, noise, sub.derive(0))
+            inst = games.uniform_subspace_instance(args.n, args.l, noise, sub.derive(0))
             leak = None
             if isinstance(adv, adversaries.KnownSecretAdversary):
-                leak = games.Leak(s=nullspace_basis(inst.basis, q)[0])
+                leak = games.Leak(s=nullspace_basis(inst.basis, inst.q)[0])
             return games.hsm_game(inst, adv, sub.derive(1), leak=leak)
 
         return game_fn
     if args.game == "dlwe":
         noise = _game_noise(args, 1)
-        return lambda adv, sub: games.dlwe_game(args.n, noise.q, noise, adv, sub)
+        return lambda adv, sub: games.dlwe_game(args.n, noise, adv, sub)
     params = _game_params(args)
     return lambda adv, sub: games.indcpa_game(params, adv, sub)
 

@@ -31,7 +31,7 @@ def balanced(x, q: int):
 
 @dataclass(frozen=True)
 class FieldContext:
-    """The prime modulus q, 2 <= q < 2^31, with inverse and balanced views.
+    """The prime modulus q, 2 <= q < 2^31, and its balanced view; pow(a, -1, q) inverts.
 
     q is capped below 2^31 so every elementwise product fits a 64-bit
     intermediate.
@@ -44,12 +44,6 @@ class FieldContext:
             raise ValueError(f"q must be an integer in [2, 2^31), got {self.q}")
         if not _is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
-
-    def inv(self, a: int) -> int:
-        a = int(a) % self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in F_q")
-        return pow(a, -1, self.q)
 
     def balanced(self, x):
         """Balanced representative in (-q/2, q/2] of an int or array."""

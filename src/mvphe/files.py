@@ -99,8 +99,6 @@ def params_to_dict(params: SchemeParams, seed=None) -> dict:
 
 
 def params_from_dict(d: dict) -> SchemeParams:
-    if not isinstance(d, dict):
-        raise FileFormatError("params", "expected a JSON object")
     lam = _require_int(d, "lambda", 1)
     ctx = _require_field(d)
     q = ctx.q

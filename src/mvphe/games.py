@@ -32,29 +32,25 @@ from .scheme import (
 SAMPLE_CAP = 4096
 
 
-class DependentBasisError(ValueError):
-    """The basis rows of a SubspaceInstance are linearly dependent."""
-
-
 @dataclass
 class SubspaceInstance:
-    """An l-dimensional subspace of F_q^n plus the noise distribution."""
+    """An l-dimensional subspace of F_q^n plus the noise distribution: n is
+    the basis width and q the noise's field."""
 
-    n: int
-    q: int
     basis: np.ndarray  # l x n, canonical residues
     noise: NoiseSpec
 
     def __post_init__(self):
-        if self.basis.ndim != 2 or self.basis.shape[1] != self.n:
-            raise ValueError("basis must be a matrix of width n")
+        if self.basis.ndim != 2:
+            raise ValueError("basis must be a matrix")
+        self.n, self.q = self.basis.shape[1], self.noise.q
         l = self.dim
         if not (1 <= l < self.n):
             raise ValueError(f"need 1 <= dim {l} < n {self.n}")
         # a basis [I | X] (the LWE instance's form) has rank l whatever X is
         identity_head = np.array_equal(self.basis[:, :l], np.eye(l, dtype=np.int64))
         if not identity_head and rank(self.basis, self.q) != l:
-            raise DependentBasisError("basis rows must be linearly independent")
+            raise ValueError("basis rows must be linearly independent")
 
     @property
     def dim(self) -> int:
@@ -147,13 +143,13 @@ class HsmOracles(_OracleBase):
 
 
 class DlweOracles(_OracleBase):
-    def __init__(self, n: int, q: int, noise: NoiseSpec, stream):
+    def __init__(self, n: int, noise: NoiseSpec, stream):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         super().__init__(stream)
-        self.n, self.q = n, q
-        self.noise = NoiseSpec(noise.alpha, q, 1)
-        self.secret = stream.uniform_fq(q, size=n)
+        self.n, self.q = n, noise.q
+        self.noise = NoiseSpec(noise.alpha, noise.q, 1)
+        self.secret = stream.uniform_fq(self.q, size=n)
 
     def _lwe_pairs(self, k: int):
         """(A, A·s + e): A from one k×n draw, then the k errors e from one draw."""
@@ -221,8 +217,8 @@ def hsm_game(instance: SubspaceInstance, adversary, stream: RandomStream,
     return oracles.finalize(guess)
 
 
-def dlwe_game(n: int, q: int, noise: NoiseSpec, adversary, stream: RandomStream) -> bool:
-    oracles = DlweOracles(n, q, noise, stream.derive(0))
+def dlwe_game(n: int, noise: NoiseSpec, adversary, stream: RandomStream) -> bool:
+    oracles = DlweOracles(n, noise, stream.derive(0))
     guess = adversary.run(oracles, stream.derive(1))
     return oracles.finalize(guess)
 
@@ -318,37 +314,33 @@ class Theorem1Adversary:
 # ---------------------------------------------------------------------------
 # instances and estimation
 
-def uniform_subspace_instance(n: int, q: int, l: int, noise: NoiseSpec,
+def uniform_subspace_instance(n: int, l: int, noise: NoiseSpec,
                               stream: RandomStream) -> SubspaceInstance:
-    """A uniformly random l-dimensional subspace (synthetic HSM instances)."""
+    """A uniformly random l-dimensional subspace of F_q^n, q = noise.q
+    (synthetic HSM instances)."""
     if not (1 <= l < n):
         raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
     for _ in range(64):
+        basis = stream.uniform_fq(noise.q, size=(l, n))
         try:  # the instance's own rank check is the one elimination
-            return SubspaceInstance(n=n, q=q, basis=stream.uniform_fq(q, size=(l, n)), noise=noise)
-        except DependentBasisError:
+            return SubspaceInstance(basis, noise)
+        except ValueError:  # dependent rows: the only refusal left to this basis
             pass
     raise RuntimeError("could not sample an independent basis")
 
 
-def lwe_subspace_instance(s: np.ndarray, q: int, noise: NoiseSpec) -> SubspaceInstance:
-    """The (s, 1)-orthogonal subspace of F_q^{n+1} with noise on the last
-    coordinate only: rows (e_i, -s_i)."""
-    n = len(s)
-    basis = np.hstack([np.eye(n, dtype=np.int64), (-s.reshape(-1, 1)) % q])
-    return SubspaceInstance(
-        n=n + 1, q=q, basis=basis,
-        noise=NoiseSpec(noise.alpha, q, 1),
-    )
+def lwe_subspace_instance(s: np.ndarray, noise: NoiseSpec) -> SubspaceInstance:
+    """The (s, 1)-orthogonal subspace of F_q^{n+1}, q = noise.q, with noise on
+    the last coordinate only: rows (e_i, -s_i)."""
+    q = noise.q
+    basis = np.hstack([np.eye(len(s), dtype=np.int64), (-s.reshape(-1, 1)) % q])
+    return SubspaceInstance(basis, NoiseSpec(noise.alpha, q, 1))
 
 
 def scheme_instance(sk: SecretKey) -> SubspaceInstance:
     """The scheme-induced instance of Theorem 1: the encryption subspace
     enc_basis·Gᵀ, where encryptions of zero lie, plus the scheme noise."""
-    q = sk.params.q
-    return SubspaceInstance(
-        n=sk.n, q=q, basis=matmul_mod(sk.enc_basis, sk.G.T, q), noise=sk.noise_spec
-    )
+    return SubspaceInstance(matmul_mod(sk.enc_basis, sk.G.T, sk.params.q), sk.noise_spec)
 
 
 def estimate_advantage(game_fn: Callable, adversary, trials: int,
@@ -378,17 +370,18 @@ def joint_ci(a: AdvantageEstimate, b: AdvantageEstimate) -> float:
 def lemma1_experiment(n: int, q: int, noise: NoiseSpec, hsm_adversary,
                       trials: int, stream: RandomStream) -> dict:
     """Win rates of an HSM adversary natively on fresh (s, 1)-perp instances
-    versus wrapped as a DLWE adversary."""
+    versus wrapped as a DLWE adversary. q must be the noise's field."""
+    if q != noise.q:
+        raise ValueError(f"q={q} differs from the noise's q={noise.q}")
 
     def native_game(adv, sub):
         s = sub.derive(0).uniform_fq(q, size=n)
-        inst = lwe_subspace_instance(s, q, noise)
-        return hsm_game(inst, adv, sub.derive(1))
+        return hsm_game(lwe_subspace_instance(s, noise), adv, sub.derive(1))
 
     wrapped = Lemma1Adversary(hsm_adversary)
 
     def dlwe_game_fn(adv, sub):
-        return dlwe_game(n, q, noise, adv, sub)
+        return dlwe_game(n, noise, adv, sub)
 
     native = estimate_advantage(native_game, hsm_adversary, trials, stream.derive(0))
     reduced = estimate_advantage(dlwe_game_fn, wrapped, trials, stream.derive(1))

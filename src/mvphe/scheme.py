@@ -67,7 +67,7 @@ class SchemeParams:
     epsilon: Decimal
     mode: str
     ideal: IdealSpec
-    headroom: float = 2.0
+    headroom: float = 2  # an int, as in the presets: params_hash hashes it as written
 
     def __post_init__(self):
         self.alpha = _to_decimal(self.alpha)
@@ -92,7 +92,7 @@ class SchemeParams:
             raise ValueError(f"mode must be {MODE_ADDITIVE} or {MODE_MULT}, got {self.mode!r}")
         if not (0 < self.n < self.q):
             raise ValueError(f"need 0 < n < q, got n={self.n}, q={self.q}")
-        # monomial_count refuses ell < 1 and r < 1
+        monomial_count(self.ell, self.r)  # refuses ell < 1 and r < 1, naming r as given
         if self.n > monomial_count(self.ell, self.enc_degree()):
             raise ValueError(
                 f"n={self.n} exceeds the evaluation dimension "
@@ -210,8 +210,9 @@ class SecretKey:
     """A key: its n points, the evaluation matrix G at them and the secret s.
     Construction derives everything else from the params once: the bases B_r
     and B_2r (None in additive mode), d_r, head_len and tail_len, enc_basis,
-    noise_spec, and the scales sigma_s, eta and p by the noise rule. It
-    raises KeyGenError("scale") naming s when sigma_s < 1, since no p fits."""
+    noise_spec, the scales sigma_s, eta and p by the noise rule, and the
+    decryption step delta = sigma_s * p. It raises KeyGenError("scale")
+    naming s when sigma_s < 1, since no p fits."""
 
     params: SchemeParams
     points: np.ndarray          # n x ell
@@ -240,6 +241,7 @@ class SecretKey:
         self.s2_norm = float(np.linalg.norm(balanced(self.s2, q)))
         self.eta = 2.0 * self.s2_norm * float(params.headroom) / math.sqrt(params.epsilon_f)
         self.p = math.floor(self.eta * (params.alpha_f * q) / self.sigma_s) + 1
+        self.delta = self.sigma_s * self.p  # <s, c> of a plaintext unit
         # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
         # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the
         # limb sums of c @ S stay below n·2^47, exact for every n < 2^16
@@ -319,7 +321,7 @@ def secret_defect(sk: SecretKey, V: np.ndarray) -> Optional[str]:
     the balanced range (sigma_s >= 1 holds by construction);
     ``orthogonality``: V·s ≡ 0."""
     q = sk.params.q
-    if sk.sigma_s * sk.p * float(sk.params.headroom) > q // 2:
+    if sk.delta * float(sk.params.headroom) > q // 2:
         return "scale"
     if np.any(matmul_mod(V, sk.s, q)):
         return "orthogonality"
@@ -423,7 +425,7 @@ def _choose_secret(params: SchemeParams, points: np.ndarray, G: np.ndarray, V: n
 def eval_key(sk: SecretKey) -> EvalKey:
     if sk.params.mode != MODE_MULT:
         raise UnsupportedOperationError("evaluation keys exist only in mult_depth_1 mode")
-    return EvalKey(q=sk.params.q, n=sk.n, p_inverse=sk.ctx.inv(sk.p))
+    return EvalKey(q=sk.params.q, n=sk.n, p_inverse=pow(sk.p, -1, sk.params.q))
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -478,13 +480,13 @@ def _check_key_match(sk: SecretKey, ct: Ciphertext):
 
 
 def _phase_residue(sk: SecretKey, ct: Ciphertext, m):
-    """(<s, c> - m * sigma_s * p) mod q, reduced once: one value, or one per
+    """(<s, c> - m * delta) mod q, reduced once: one value, or one per
     row of a stack (m then holds one multiple per row).
 
     <s, c> is one int64 product, c @ s; where that could overflow, one
     product c @ [s >> 16, s & 0xFFFF], whose column sums stay below n·2^47."""
     _check_key_match(sk, ct)
-    q, S, shift = sk.params.q, sk._s_limbs, m * sk.sigma_s * sk.p
+    q, S, shift = sk.params.q, sk._s_limbs, m * sk.delta
     if S is None:
         return (ct.c @ sk.s - shift) % q
     hl = ct.c @ S
@@ -495,7 +497,7 @@ def _phase_residue(sk: SecretKey, ct: Ciphertext, m):
 
 
 def noise_measure(sk: SecretKey, ct: Ciphertext, m):
-    """balanced(<s, c> - m * sigma_s * p): the realized noise given the true
+    """balanced(<s, c> - m * delta): the realized noise given the true
     message multiple m (0/1 fresh; up to the add count after additions).
     For a stack of ciphertext rows, m and the result hold one value per row."""
     return balanced(_phase_residue(sk, ct, m), sk.params.q)
@@ -503,8 +505,8 @@ def noise_measure(sk: SecretKey, ct: Ciphertext, m):
 
 def _phase_bit(sk: SecretKey, phase):
     """The balanced phase <s, c> rounded to the nearest multiple of
-    sigma_s * p, mod 2: the decryption rule."""
-    return round_nearest(phase, sk.sigma_s * sk.p) % 2
+    delta = sigma_s * p, mod 2: the decryption rule."""
+    return round_nearest(phase, sk.delta) % 2
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext):
@@ -541,7 +543,7 @@ def noise_budget(sk: SecretKey) -> NoiseBudget:
     if alpha_q == 0:
         k = math.inf
     else:
-        k = sk.sigma_s * sk.p / (2.0 * norm * alpha_q)
+        k = sk.delta / (2.0 * norm * alpha_q)
     return NoiseBudget(
         eps=eps,
         k=k,
@@ -621,7 +623,7 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
     """Predicted vs measured noise and error rates for fresh/add/mult.
 
     Each row also reports max and 99.9th-percentile |noise|, the margin
-    sigma_s*p/2 - max |noise| (decryption is correct while it is positive),
+    delta/2 - max |noise| (decryption is correct while it is positive),
     and a one-sided 95% upper bound on its error rate. Trials run in blocks of
     _BENCH_BLOCK: block b draws its bits and its 2k encryptions, one batch,
     from stream.derive(b). Memory holds one block of ciphertexts whatever
@@ -639,7 +641,7 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
     def measure(op, ct, multiple, bit):
         # one <s, c> per row: the noise and the decrypted bit share its residue
         phase = _phase_residue(sk, ct, 0)
-        tally[op].add(balanced((phase - multiple * sk.sigma_s * sk.p) % q, q),
+        tally[op].add(balanced((phase - multiple * sk.delta) % q, q),
                       int(np.count_nonzero(_phase_bit(sk, balanced(phase, q)) != bit)))
 
     for b, start in enumerate(range(0, trials, _BENCH_BLOCK)):
@@ -665,7 +667,7 @@ def noise_bench(sk: SecretKey, trials: int, stream: RandomStream) -> dict:
             "error_rate": t.errors / trials,
             "max_abs_noise": max_abs,
             "p999_abs_noise": int(t.top.min()),
-            "margin": sk.sigma_s * sk.p / 2 - max_abs,
+            "margin": sk.delta / 2 - max_abs,
             "error_rate_upper95": error_rate_upper95(t.errors, trials),
         }
     return rows

@@ -4,28 +4,6 @@ import pytest
 from mvphe.field import FieldContext, _is_prime, round_nearest
 
 
-def test_inverse_examples_q7():
-    F = FieldContext(7)
-    assert F.inv(1) == 1
-    assert F.inv(2) == 4  # 2*4 = 8 = 1 mod 7
-
-
-def test_inverse_random_q10007():
-    F = FieldContext(10007)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        a = int(rng.integers(1, F.q))
-        assert a * F.inv(a) % F.q == 1
-
-
-def test_inverse_of_zero_raises():
-    F = FieldContext(7)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(7)
-
-
 def test_balanced_examples():
     F = FieldContext(7)
     assert F.balanced(5) == -2

@@ -79,7 +79,7 @@ def _outputs_of(monkeypatch, name):
 
 def _small_instance(stream, alpha=0.0, n=12, l=6):
     noise = NoiseSpec(alpha, Q, n - l)
-    return uniform_subspace_instance(n, Q, l, noise, stream)
+    return uniform_subspace_instance(n, l, noise, stream)
 
 
 class _OneSampleThenCoin:
@@ -217,7 +217,7 @@ def test_hsm_oracle_fidelity_beta1(monkeypatch):
 def test_hsm_oracle_fidelity_beta0_uniform():
     # chi-square on a projected coordinate across 1000 forced-uniform games
     basis = np.array([[1, 0, 1, 0, 1]])
-    inst = SubspaceInstance(n=5, q=17, basis=basis, noise=NoiseSpec(0.2, 17, 2))
+    inst = SubspaceInstance(basis, NoiseSpec(0.2, 17, 2))
     # on coordinate 1 too, where every noisy member reads 0 (the basis is 0
     # there and the noise lands on the last 2 coordinates only)
     draws = []
@@ -260,7 +260,7 @@ def test_hsm_oracle_golden_draws(beta, digest):
 
 def test_dlwe_random_guesser():
     def game_fn(adv, sub):
-        return dlwe_game(8, Q, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
+        return dlwe_game(8, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
 
     est = estimate_advantage(game_fn, RandomGuesser(), 10_000, RandomStream(117))
     assert est.advantage <= 0.02
@@ -268,7 +268,7 @@ def test_dlwe_random_guesser():
 
 def test_dlwe_linear_solve_zero_noise():
     def game_fn(adv, sub):
-        return dlwe_game(8, Q, NoiseSpec(0.0, Q, 1), adv, sub)
+        return dlwe_game(8, NoiseSpec(0.0, Q, 1), adv, sub)
 
     est = estimate_advantage(game_fn, LinearSolveAdversary(), 1000, RandomStream(118))
     assert est.win_rate >= 0.99
@@ -279,7 +279,7 @@ def test_dlwe_rank_adversary_blind_under_noise():
     wrapped = Lemma1Adversary(RankMembershipAdversary())
 
     def game_fn(adv, sub):
-        return dlwe_game(8, Q, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
+        return dlwe_game(8, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
 
     est = estimate_advantage(game_fn, wrapped, 1000, RandomStream(120))
     assert est.advantage <= est.ci_halfwidth
@@ -294,7 +294,7 @@ def test_dlwe_rank_adversary_blind_under_noise():
 )
 def test_dlwe_oracle_golden_draws(beta, digest):
     # the secret, five Sample pairs, then Challenge, at alpha q = 8
-    orc = _with_beta(beta, lambda: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(143)))
+    orc = _with_beta(beta, lambda: DlweOracles(8, NoiseSpec(8.0 / Q, Q, 1), RandomStream(143)))
     outs = [orc.secret]
     for a, b in [orc.sample() for _ in range(5)] + [orc.challenge()]:
         outs += [a, b]
@@ -345,7 +345,7 @@ class _Recording:
 
 
 def test_lemma1_transcript_is_a_minus_b():
-    oracles = _Recorder(DlweOracles(6, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120)))
+    oracles = _Recorder(DlweOracles(6, NoiseSpec(8.0 / Q, Q, 1), RandomStream(120)))
     inner = _Recording(RankMembershipAdversary())
     Lemma1Adversary(inner).run(oracles, RandomStream(121))
     # every DLWE row (a, b) the oracles served reached the inner adversary as (a, -b)
@@ -361,7 +361,7 @@ def test_lemma1_wrapped_random_guesser_blind():
     wrapped = Lemma1Adversary(RandomGuesser())
 
     def game_fn(adv, sub):
-        return dlwe_game(8, Q, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
+        return dlwe_game(8, NoiseSpec(8.0 / Q, Q, 1), adv, sub)
 
     est = estimate_advantage(game_fn, wrapped, 1000, RandomStream(122))
     assert est.advantage <= 3 * est.ci_halfwidth
@@ -371,7 +371,7 @@ def test_lemma1_wrapped_rank_zero_noise_wins():
     wrapped = Lemma1Adversary(RankMembershipAdversary())
 
     def game_fn(adv, sub):
-        return dlwe_game(8, Q, NoiseSpec(0.0, Q, 1), adv, sub)
+        return dlwe_game(8, NoiseSpec(0.0, Q, 1), adv, sub)
 
     est = estimate_advantage(game_fn, wrapped, 1000, RandomStream(123))
     assert est.win_rate >= 0.99
@@ -387,8 +387,8 @@ def test_lemma1_win_rate_equality():
 
 def test_lwe_subspace_instance_shape():
     s = RandomStream(125).uniform_fq(Q, size=6)
-    inst = lwe_subspace_instance(s, Q, NoiseSpec(0.0, Q, 1))
-    assert inst.n == 7 and inst.dim == 6
+    inst = lwe_subspace_instance(s, NoiseSpec(0.0, Q, 1))
+    assert (inst.n, inst.q, inst.dim) == (7, Q, 6)
     # every basis row is orthogonal to (s, 1)
     s1 = np.concatenate([s, [1]])
     for row in inst.basis:
@@ -576,9 +576,9 @@ def test_theorem1_view_answers_encrypt_zero(toy_key):
 def test_lemma1_view_answers_sample():
     adv = _OneSampleThenCoin("sample")
     noise = NoiseSpec(8.0 / Q, Q, 1)
-    dlwe_game(8, Q, noise, Lemma1Adversary(adv), RandomStream(164))
+    dlwe_game(8, noise, Lemma1Adversary(adv), RandomStream(164))
     (v,) = adv.got
-    a, b = DlweOracles(8, Q, noise, RandomStream(164).derive(0)).sample()
+    a, b = DlweOracles(8, noise, RandomStream(164).derive(0)).sample()
     assert v.tolist() == [*a.tolist(), (-b) % Q]
 
 
@@ -591,20 +591,22 @@ def test_theorem1_view_serves_encrypt_zeros_from_hsm_samples(toy_key):
 
 
 def test_subspace_instance_validation():
-    with pytest.raises(ValueError):  # dependent rows
-        SubspaceInstance(
-            n=4, q=Q,
-            basis=np.array([[1, 2, 3, 4], [2, 4, 6, 8]]),
-            noise=NoiseSpec(0.0, Q, 1),
-        )
-    with pytest.raises(ValueError):  # l = n not allowed
-        SubspaceInstance(
-            n=2, q=Q, basis=np.eye(2, dtype=np.int64),
-            noise=NoiseSpec(0.0, Q, 1),
-        )
-    for basis in (np.eye(2, 3, dtype=np.int64), np.arange(4)):
-        with pytest.raises(ValueError, match="basis must be a matrix of width n"):
-            SubspaceInstance(n=4, q=Q, basis=basis, noise=NoiseSpec(0.0, Q, 1))
+    with pytest.raises(ValueError, match="linearly independent"):  # dependent rows
+        SubspaceInstance(np.array([[1, 2, 3, 4], [2, 4, 6, 8]]), NoiseSpec(0.0, Q, 1))
+    with pytest.raises(ValueError, match="need 1 <= dim 2 < n 2"):  # l = n not allowed
+        SubspaceInstance(np.eye(2, dtype=np.int64), NoiseSpec(0.0, Q, 1))
+    with pytest.raises(ValueError, match="basis must be a matrix"):
+        SubspaceInstance(np.arange(4), NoiseSpec(0.0, Q, 1))
+    # n is the basis width and q the noise's field
+    inst = SubspaceInstance(np.eye(2, 3, dtype=np.int64), NoiseSpec(0.0, 17, 1))
+    assert (inst.n, inst.q, inst.dim) == (3, 17, 2)
+
+
+def test_lemma1_experiment_refuses_a_q_other_than_the_noises():
+    # alpha·q sets the noise std: alpha = 8/17 at q = 10007 would be std 4,709, not 8
+    with pytest.raises(ValueError, match="q=10007 differs from the noise's q=17"):
+        lemma1_experiment(12, 10007, NoiseSpec(8 / 17, 17, 1), RandomGuesser(), 100,
+                          RandomStream(1))
 
 
 def test_identity_head_basis_skips_the_rank_check(monkeypatch):
@@ -614,17 +616,17 @@ def test_identity_head_basis_skips_the_rank_check(monkeypatch):
     real = games.rank
     monkeypatch.setattr(games, "rank", lambda M, q: calls.append(M.shape) or real(M, q))
     s = RandomStream(147).uniform_fq(Q, size=6)
-    assert lwe_subspace_instance(s, Q, NoiseSpec(0.0, Q, 1)).dim == 6
+    assert lwe_subspace_instance(s, NoiseSpec(0.0, Q, 1)).dim == 6
     assert calls == []
     inst = _small_instance(RandomStream(144))
     assert calls == [(6, 12)] and inst.dim == 6
     nearly = np.hstack([np.eye(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64)])
     nearly[2, 2] = 0  # rows e_0 + .., e_1 + .., and (0, 0, 0, 1, 1): rank 3
-    SubspaceInstance(n=5, q=Q, basis=nearly, noise=NoiseSpec(0.0, Q, 1))
+    SubspaceInstance(nearly, NoiseSpec(0.0, Q, 1))
     assert calls == [(6, 12), (3, 5)]
     nearly[2] = nearly[0]  # dependent rows, head not the identity
     with pytest.raises(ValueError):
-        SubspaceInstance(n=5, q=Q, basis=nearly, noise=NoiseSpec(0.0, Q, 1))
+        SubspaceInstance(nearly, NoiseSpec(0.0, Q, 1))
 
 
 def test_lemma1_experiment_wins_are_unchanged_by_the_skipped_rank_check():
@@ -637,7 +639,7 @@ def test_lemma1_experiment_wins_are_unchanged_by_the_skipped_rank_check():
 @pytest.mark.parametrize("n", [0, -3])
 def test_dlwe_oracles_refuse_n_below_one(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        DlweOracles(n, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
+        DlweOracles(n, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
 
 
 def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
@@ -647,7 +649,7 @@ def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
     inst = _small_instance(RandomStream(144))
     assert calls == [(6, 12)] and inst.dim == 6
     with pytest.raises(ValueError):  # a shape error is not retried as a dependent draw
-        uniform_subspace_instance(4, Q, 4, NoiseSpec(0.0, Q, 1), RandomStream(144))
+        uniform_subspace_instance(4, 4, NoiseSpec(0.0, Q, 1), RandomStream(144))
 
     class ZeroStream:  # every basis it draws is dependent
         def uniform_fq(self, q, size):
@@ -655,7 +657,7 @@ def test_uniform_subspace_instance_eliminates_each_candidate_once(monkeypatch):
 
     calls.clear()
     with pytest.raises(RuntimeError, match="could not sample an independent basis"):
-        uniform_subspace_instance(4, Q, 2, NoiseSpec(0.0, Q, 2), ZeroStream())
+        uniform_subspace_instance(4, 2, NoiseSpec(0.0, Q, 2), ZeroStream())
     assert calls == [(2, 4)] * 64
 
 
@@ -688,7 +690,7 @@ def _counting(monkeypatch, cls):
 
 @pytest.mark.parametrize("make", [
     lambda: HsmOracles(_small_instance(RandomStream(145)), RandomStream(146)),
-    lambda: DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(146)),
+    lambda: DlweOracles(8, NoiseSpec(8.0 / Q, Q, 1), RandomStream(146)),
 ])
 def test_samples_count_against_the_cap_before_drawing(make, monkeypatch):
     monkeypatch.setattr(games, "SAMPLE_CAP", 5)
@@ -716,7 +718,7 @@ def test_hsm_samples_audit_members_plus_head_free_noise(monkeypatch):
 
 def test_dlwe_samples_audit_the_errors(monkeypatch):
     errors = _outputs_of(monkeypatch, "discrete_gaussian_vector")
-    orc = DlweOracles(8, Q, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
+    orc = DlweOracles(8, NoiseSpec(8.0 / Q, Q, 1), RandomStream(149))
     A, b = orc.samples(11)
     (e,) = errors  # one draw for the batch
     assert A.shape == (11, 8) and b.shape == e.shape == (11,) and np.any(e)
@@ -729,8 +731,8 @@ def test_rank_and_linear_adversaries_ask_once_for_their_samples(monkeypatch):
     inst = _small_instance(RandomStream(151))
     hsm_game(inst, RankMembershipAdversary(), RandomStream(152))
     noise = NoiseSpec(0.0, Q, 1)
-    dlwe_game(8, Q, noise, LinearSolveAdversary(), RandomStream(153))
-    dlwe_game(8, Q, noise, Lemma1Adversary(RankMembershipAdversary()), RandomStream(154))
+    dlwe_game(8, noise, LinearSolveAdversary(), RandomStream(153))
+    dlwe_game(8, noise, Lemma1Adversary(RankMembershipAdversary()), RandomStream(154))
     assert hsm_asked == [12 + 8]
     assert dlwe_asked == [8 + 8, 9 + 8]
 

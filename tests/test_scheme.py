@@ -82,6 +82,10 @@ def test_params_validation_errors():
         with pytest.raises(ValueError, match=message):
             SchemeParams(**{**dict(lam=32, q=Q, ell=2, r=2, n=3, alpha="0.0008", epsilon="0.01",
                                    mode=MODE_ADDITIVE, ideal=toy_ideal()), name: value})
+    # in mult mode too a negative r is named as given, not as its double 2r
+    with pytest.raises(ValueError, match="got ell=2, r=-1$"):
+        SchemeParams(lam=32, q=Q, ell=2, r=-1, n=3, alpha="0.0008", epsilon="0.01",
+                     mode=MODE_MULT, ideal=toy_ideal())
 
 
 def test_keygen_rejects_unit_ideal():
@@ -324,8 +328,9 @@ def test_additive_key_invariants(toy_key):
     assert rank(E, q) == sk.d_r
     # orthogonality of s against the whole evaluated basis
     assert not np.any(matmul_mod(scheme.key_defect(sk.params, sk.G)[1], sk.s, q))
-    # sigma and p bounds
-    assert 0 < sk.sigma_s * sk.p <= q // 2
+    # sigma and p bounds, and the decryption step they make
+    assert sk.delta == sk.sigma_s * sk.p
+    assert 0 < sk.delta <= q // 2
     assert math.gcd(sk.p, q) == 1
     assert sk.sigma_s == sk.ctx.balanced(int(sk.s.sum() % q))
     # the tail is a nonzero {-1, 0, 1} vector
@@ -804,6 +809,12 @@ def test_hom_mult_noiseless_all_bit_pairs(mult_key_noiseless):
             c1 = encrypt(sk, m1, stream.derive(10 * m1 + m2))
             c2 = encrypt(sk, m2, stream.derive(20 * m1 + m2))
             assert decrypt(sk, hom_mult(c1, c2, ek)) == m1 * m2
+
+
+@pytest.mark.parametrize("key", ["mult_key", "q31_key"])
+def test_eval_key_inverts_p(key, request):
+    sk = request.getfixturevalue(key)
+    assert eval_key(sk).p_inverse * sk.p % sk.params.q == 1
 
 
 def test_hom_mult_requires_mult_mode(toy_key):
