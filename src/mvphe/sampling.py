@@ -1,51 +1,88 @@
 """Seedable randomness: uniform field elements and the rounded Gaussian noise.
 
-A RandomStream owns a PCG64 generator; identical seeds reproduce identical
-draw sequences. Parallel or repeated workloads derive independent child
-streams with ``derive(k)`` instead of sharing one stream. The generator is
-seeded at the first draw, so a stream that only derives children costs no
-seeding.
+A RandomStream is addressed by (seed, path); ``derive(k)`` appends k to the
+path and seeds nothing. Draw call i of a stream reads SHAKE-128(key ‖ i) for
+exactly the bytes it needs. The key is a domain tag, the seed and each path
+entry, and every integer is written as an 8-byte little-endian length and its
+minimal little-endian bytes, so no two (seed, path, i) share an input.
+Uniform integers are Lemire's rejection on 32-bit words, the same on every
+platform; the Gaussian is Box-Muller on the top 53 bits of 64-bit words, so
+it goes through numpy's log, cos and sin.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+_TAG = b"mvphe.RandomStream.v1"
+_WORD = 1 << 32
+
+
+def _encode(x: int) -> bytes:
+    """x >= 0 as its byte length (8 bytes, little-endian), then its bytes."""
+    b = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return len(b).to_bytes(8, "little") + b
 
 
 class RandomStream:
-    """Deterministic stream of randomness addressed by (seed, spawn path)."""
+    """Deterministic stream of randomness addressed by (seed, path)."""
 
-    def __init__(self, seed=None, _spawn_key=()):
+    def __init__(self, seed=None):
         if seed is None:
-            # fresh OS entropy, folded to 64 bits so the seed stays loggable
-            seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+            seed = int.from_bytes(os.urandom(32), "little")  # 256 bits: the stream's key strength
         self.seed = operator.index(seed)  # an integer, not a truncated float
-        if self.seed < 0:  # checked here: the generator is seeded only at the first draw
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self._spawn_key = tuple(int(k) for k in _spawn_key)
-        self._gen = None  # seeded at the first draw (see _seed)
-
-    def _seed(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-        return self._gen
+        self._path = ()
+        self._key = _TAG + _encode(self.seed)
+        self._calls = 0
 
     def derive(self, key: int) -> "RandomStream":
         """Independent child stream; same (seed, path, key) -> same stream."""
-        return RandomStream(self.seed, self._spawn_key + (int(key),))
+        key = operator.index(key)
+        if key < 0:
+            raise ValueError(f"derive key must be >= 0, got {key}")
+        child = object.__new__(RandomStream)
+        child.seed, child._path, child._calls = self.seed, self._path + (key,), 0
+        child._key = self._key + _encode(key)
+        return child
+
+    def _read(self, nbytes: int) -> bytes:
+        """The output of the next draw call."""
+        i = self._calls
+        self._calls = i + 1
+        return hashlib.shake_128(self._key + _encode(i)).digest(nbytes)
 
     def integers(self, low: int, high: int, size=None):
-        """Unbiased uniform integers in [low, high)."""
-        out = (self._gen or self._seed()).integers(low, high, size=size)
-        if size is None:
-            return int(out)
-        return out.astype(np.int64, copy=False)
+        """Unbiased uniform integers in [low, high), high - low <= 2^32.
+
+        Lemire's rejection: a 32-bit word w gives low + (w·m >> 32) for
+        m = high - low unless (w·m mod 2^32) < 2^32 mod m. A call reads one
+        word per value; a call whose words fell short is continued by the next.
+        """
+        low = operator.index(low)  # Python ints: w·m must not wrap in int64
+        m = operator.index(high) - low
+        if not 1 <= m <= _WORD:
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got {m}")
+        count = 1 if size is None else math.prod(size) if isinstance(size, tuple) else size
+        reject = _WORD % m
+        out = np.empty(count, dtype=np.int64)
+        got = 0
+        while got < count:
+            words = np.frombuffer(self._read(4 * (count - got)), "<u4")
+            w = np.multiply(words, m, dtype=np.uint64)  # w·m < 2^64, at any numpy promotion rule
+            kept = w[w.astype(np.uint32) >= reject] >> 32  # the cast keeps w·m mod 2^32
+            out[got : got + len(kept)] = kept
+            got += len(kept)
+        out += low
+        return int(out[0]) if size is None else out.reshape(size)
 
     def uniform_fq(self, q: int, size=None):
         return self.integers(0, q, size=size)
@@ -57,22 +94,20 @@ class RandomStream:
         """i.i.d. entries from {-1, 0, 1}."""
         return self.integers(0, 3, size=size) - 1
 
-    def unit_uniform(self, size=None):
-        return (self._gen or self._seed()).random(size=size)
-
     def gaussian(self, std: float, size):
         """Zero-mean normal draws via the Box-Muller transform; ``size`` is a
-        count or a shape, filled in row-major order from one draw."""
+        count or a shape, filled in row-major order from one draw call."""
         n = math.prod(size) if isinstance(size, tuple) else int(size)
         pairs = (n + 1) // 2
-        u = self.unit_uniform(2 * pairs)  # the u1 block, then the u2 block
+        words = np.frombuffer(self._read(16 * pairs), "<u8")
+        u = (words >> 11) * 2.0**-53  # the u1 block, then the u2 block, in [0, 1)
         radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))  # 1 - u1 in (0, 1]: log stays finite
         theta = _TWO_PI * u[pairs:]
         z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n] * float(std)
         return z.reshape(size)
 
     def __repr__(self):
-        return f"RandomStream(seed={self.seed}, path={self._spawn_key})"
+        return f"RandomStream(seed={self.seed}, path={self._path})"
 
 
 @dataclass(frozen=True)

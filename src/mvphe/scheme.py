@@ -378,9 +378,8 @@ def _full_row_rank(G: np.ndarray, K: np.ndarray, q: int) -> bool:
 def _sample_distinct_points(stream: RandomStream, q: int, n: int, ell: int) -> np.ndarray:
     """n distinct points of F_q^ell, the first occurrences in draw order.
 
-    Each round draws the missing points as one block, so it consumes exactly
-    the candidates that drawing one point at a time until n are distinct
-    would: a (k, ell) draw yields the values of k draws of ell.
+    Each round draws all missing points as one (k, ell) block in one
+    uniform_fq call, and keeps the candidates not seen before.
     """
     points, seen = [], set()
     while len(points) < n:
@@ -438,10 +437,10 @@ def _as_bits(bits) -> np.ndarray:
 def _encrypt_rows(sk: SecretKey, bits: np.ndarray, stream: RandomStream):
     """C = m·p + (G·Fᵀ)ᵀ + E for k bits m, one row per bit, with F = U·enc_basis.
 
-    One k×d_r draw of U, then one k×n structured noise draw E (both in row
-    order, so k = 1 draws what a single encrypt always drew). G·Fᵀ and not
-    F·Gᵀ: matmul_mod splits its right operand into limbs at large q, and Fᵀ
-    is the small one. Returns (C, F, E).
+    One k×d_r draw of U, then one k×n structured noise draw E, both in row
+    order; ``encrypt`` is the k = 1 call. G·Fᵀ and not F·Gᵀ: matmul_mod
+    splits its right operand into limbs at large q, and Fᵀ is the small one.
+    Returns (C, F, E).
     """
     q = sk.params.q
     U = stream.uniform_fq(q, size=(len(bits), sk.d_r))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_keygen_takes_the_params_file_seed(tmp_path, capsys):
     assert "no seed given" not in capsys.readouterr().err
     main(["keygen", "--params", str(path), "--seed", "5", "--out", str(by_flag)])
     assert by_file.read_bytes() == by_flag.read_bytes()
+
+
+def test_a_seedless_keygen_logs_a_256_bit_seed_that_reproduces_its_key(tmp_path,
+                                                                       toy_paramfile, capsys):
+    fresh, again = str(tmp_path / "fresh.json"), str(tmp_path / "again.json")
+    assert main(["keygen", "--params", toy_paramfile, "--out", fresh]) == 0
+    seed = int(capsys.readouterr().err.split("using seed ")[1])
+    assert seed >= 2**64  # below 2^64 with chance 2^-192, the old 64-bit fold always
+    assert main(["keygen", "--params", toy_paramfile, "--seed", str(seed), "--out", again]) == 0
+    assert Path(fresh).read_bytes() == Path(again).read_bytes()
 
 
 def test_keygen_out_without_json_suffix_names_the_eval_key(tmp_path, mult_paramfile, capsys):
@@ -521,60 +532,60 @@ def test_game_reduction_usage_errors(capsys):
 # random and rank under lemma1 became usage errors when Lemma 1 kept its one
 # spelling, `game hsm --reduction lemma1`, whose output they had repeated.
 _GAME_GOLDEN = {
-    ("hsm", "random", None, False): (0, "78fd1b02bd3cd38409c20e6f673f31329af2b860a50f27cfe08115dffd3ed099"),
-    ("hsm", "random", None, True): (0, "5c58a7580373cc2b04d6a236a148ce9738e5f2e77f3982cbbe21a37abeecec58"),
-    ("hsm", "random", 'lemma1', False): (0, "eb90532eb7bbba60f9c0a39ffe5e7be629fb9987408e16b269ac5a9d4d631b85"),
-    ("hsm", "random", 'lemma1', True): (0, "f52f5750336f425a2f8d7dee03880ee0f4a3ce0a6d667335752a6850c02b039c"),
+    ("hsm", "random", None, False): (0, "c81c7c14f704fd28c2affdc48608eaface6f377b894da30a3c147a20c50d66c7"),
+    ("hsm", "random", None, True): (0, "545e93fc2176d167156a10f51f9cbbfc2ddceab966d31dc3aefb3debfcf758e1"),
+    ("hsm", "random", 'lemma1', False): (0, "b50401e09cd196b66e524d1556e1ef55888ae09982f196854b04feb590760973"),
+    ("hsm", "random", 'lemma1', True): (0, "3ed364c087f04e193ead3794c03f023f43a3a852e78b48c3cec7bf9530fca26b"),
     ("hsm", "random", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hsm", "random", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("hsm", "rank", None, False): (0, "7de5a06f02006f0d4319213d2dd8a0d86ae14e21464d289f7bab0bfb660dbb64"),
-    ("hsm", "rank", None, True): (0, "2f1d095499d5058b5bcee0edbcf741e0df3559e3f4d553f65565cf3007f85639"),
-    ("hsm", "rank", 'lemma1', False): (0, "d441912b0213a70870ea7684bdff0ac3b48cdd8c9aba7a96cd6acffc71473727"),
-    ("hsm", "rank", 'lemma1', True): (0, "1abbf09e374df4d78cd214b506dfa59200921308f63b14ead0df410e7294b5c1"),
+    ("hsm", "rank", None, False): (0, "e05c9e5017108782a5f5ce958425e19754cfe9646a0f67321b585e6da824002e"),
+    ("hsm", "rank", None, True): (0, "4c2a50fd3af86f675e0e4c0d9bc8e2c99e45edf90e5cefcdfb9e1e9a13afc72f"),
+    ("hsm", "rank", 'lemma1', False): (0, "fe81162a013a76c085d6dd48efcf67d0c924a2e2d08593c7264b20121b3d8eae"),
+    ("hsm", "rank", 'lemma1', True): (0, "28fa4b23b18d61a9e9396a0dd0d603b780dffca8600b2cf3890990f4c27e876c"),
     ("hsm", "rank", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hsm", "rank", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("hsm", "oracle", None, False): (0, "c4a92abc168cc0b3ac6b4e4b73ff30fcdb4565d97405f18c8a1f29259cb6ee0f"),
-    ("hsm", "oracle", None, True): (0, "2d01e4bc51bd921d9d6c456f576ba1f63c2635a92f78b8ff1e8d53e6ecc3155a"),
+    ("hsm", "oracle", None, False): (0, "e25a64ae8a11a695882f2ffa6ec04fc9bf7da04a9daed888e6bb1623555de6be"),
+    ("hsm", "oracle", None, True): (0, "9aae6285caa66325ca7984cde609d3aaed7a01ecd5dfca7de32a2cfd73573830"),
     ("hsm", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hsm", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hsm", "oracle", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hsm", "oracle", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("dlwe", "random", None, False): (0, "3f7603df4141f2be618326ee836e93f765ecad83a36d1fd51397620b3e655927"),
-    ("dlwe", "random", None, True): (0, "23f930a3d375449a30a10083f34105b9cf0ea8e832ee829790fdc730a2305040"),
+    ("dlwe", "random", None, False): (0, "324500d9baa32b98985b3ef7c39daa65a63cafd614190fb861786aae4d467214"),
+    ("dlwe", "random", None, True): (0, "5a5674bcd6acd80156c3bb0359304b08694db5a592efc3265e466bf43b18cbc3"),
     ("dlwe", "random", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "random", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("dlwe", "rank", None, False): (0, "11b5d6832c48e3923a6615c75e635f97534fd4913ccb7f57366e3c88f7b10f52"),
-    ("dlwe", "rank", None, True): (0, "5a5674bcd6acd80156c3bb0359304b08694db5a592efc3265e466bf43b18cbc3"),
+    ("dlwe", "rank", None, False): (0, "66b5460db817606484917e72b5aa7be36a90edf31371cfe158a032271b6420c4"),
+    ("dlwe", "rank", None, True): (0, "904aaaa3ad86a92f95b9b564073ce294137bd30127a896d9b2761885e30376c9"),
     ("dlwe", "rank", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "rank", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("dlwe", "oracle", None, False): (0, "6b2b07368d5560a729438abdde7512b017976a57d1df34a4ffe9b7af959e6957"),
-    ("dlwe", "oracle", None, True): (0, "23f930a3d375449a30a10083f34105b9cf0ea8e832ee829790fdc730a2305040"),
+    ("dlwe", "oracle", None, False): (0, "073b373f32be176001d3765e3097c68e3f651f50a45ee913e4c47ff0aaf220d9"),
+    ("dlwe", "oracle", None, True): (0, "5a5674bcd6acd80156c3bb0359304b08694db5a592efc3265e466bf43b18cbc3"),
     ("dlwe", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "oracle", 'theorem1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dlwe", "oracle", 'theorem1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("indcpa", "random", None, False): (0, "13ae1c9858f7ed89d246b9e19175c495e9dbcb04d1ef3a25448123bc635198e1"),
-    ("indcpa", "random", None, True): (0, "14f5771dea1499a55ea382226ddb902095c3129133775493757d6932b15abc03"),
+    ("indcpa", "random", None, False): (0, "4f699fb4605b74db123ef8874961ab6f7e6786ade91d529697f62d0c05dcdd23"),
+    ("indcpa", "random", None, True): (0, "e11bfd456ab05e12c9a78692f33e78c303b88c6da69f5ee241fa95201462b332"),
     ("indcpa", "random", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("indcpa", "random", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("indcpa", "random", 'theorem1', False): (0, "194f1958a136c909469729da064e578e0adbaeb1f321f5f3eacf665e80fe6a65"),
-    ("indcpa", "random", 'theorem1', True): (0, "315b108d2fef3c95cf1190f0ac6d47103bafca561edd4cf8a82661f90f5d8e4e"),
-    ("indcpa", "rank", None, False): (0, "97a1013941dda4ad60fe43a05f9cc4ae6a6bed1d27173cb52d899711a6dd4ac6"),
-    ("indcpa", "rank", None, True): (0, "6d30cf09268e0db6fc7eb0d1d1269ed7bd3b626ae1a94eeec628e7330ea89757"),
+    ("indcpa", "random", 'theorem1', False): (0, "f73d0bb6b22e922101cf0cb2d458e69f1c43b95e07376aedf606de55bd2b8f34"),
+    ("indcpa", "random", 'theorem1', True): (0, "a8ca893a2401ee24ba229871409c6cab6f38f614740c6a2f4db3aafcee54dfb4"),
+    ("indcpa", "rank", None, False): (0, "736d868b189b96f6aecbfd2c0a624c608e925ac1d524f14747fda74c9f8681dd"),
+    ("indcpa", "rank", None, True): (0, "f0f20462c1d320d06843c0acdc421e5b557b657e92850266dea8eef29dadf949"),
     ("indcpa", "rank", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("indcpa", "rank", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("indcpa", "rank", 'theorem1', False): (0, "7f454fd3442ef3f20007af8fb62416016fde5629b31f61f8f5d6b5214bde28fc"),
-    ("indcpa", "rank", 'theorem1', True): (0, "f36bdacb12a3ee8cf2f16b86b19836f920adb2e88d0d4a2d6d1252e1ad1135e3"),
+    ("indcpa", "rank", 'theorem1', False): (0, "6e078128a9b9352a0480fd778e853e59202b7b87a9b2df8b3d643926e7afeaff"),
+    ("indcpa", "rank", 'theorem1', True): (0, "a2174af5836437e80484b35fd68bbcab4670076b7624e418f4ac51a2aea5164c"),
     ("indcpa", "oracle", None, False): (0, "51649d49e520b8e659f3c96f4f87b98f856c2836119ef55ba2daf9d7c9239371"),
     ("indcpa", "oracle", None, True): (0, "2b2d553f627e3ed49b840bb83633b5f84f21c0f48fd6e9ad7200ec86c1eaac2f"),
     ("indcpa", "oracle", 'lemma1', False): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("indcpa", "oracle", 'lemma1', True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("indcpa", "oracle", 'theorem1', False): (0, "c1ddd01c5782dbaa6374ca5452bc01fe51544023a6c67846c9c8901468a6329e"),
-    ("indcpa", "oracle", 'theorem1', True): (0, "e0483c4a7aa4e94055ef9b42047809260a597ae44d4bcdcc0447b99d9fd11440"),
+    ("indcpa", "oracle", 'theorem1', False): (0, "6b2d37ba284ee389e497ec5d1d62f5e7f2c9d7d9537415d9736f47b21502f396"),
+    ("indcpa", "oracle", 'theorem1', True): (0, "46ad377d438a72cab7815125a98b692e678a447818a2487b0da25de80fed9be9"),
 }
 
 
