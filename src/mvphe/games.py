@@ -187,7 +187,7 @@ class IndCpaOracles(_OracleBase):
         super().__init__(stream)
         self.sk = sk
         self.n, self.q = sk.n, sk.params.q
-        self.leak = Leak(p=sk.p, sk=sk, s=sk.s)
+        self.leak = Leak(p=sk.p, sk=sk)
         self._zeros_stream = stream.derive(0)
 
     def encrypt_zeros(self, k: int) -> np.ndarray:
@@ -399,7 +399,7 @@ def theorem1_experiment(params: SchemeParams, indcpa_adversary, trials: int,
     def wrapped_game(adv, sub):
         sk = keygen(params, sub.derive(0))
         inst = scheme_instance(sk)
-        wrapped = Theorem1Adversary(adv, sk.p, Leak(p=sk.p, sk=sk, s=sk.s))
+        wrapped = Theorem1Adversary(adv, sk.p, Leak(p=sk.p, sk=sk))
         return hsm_game(inst, wrapped, sub.derive(1))
 
     native = estimate_advantage(native_game, indcpa_adversary, trials, stream.derive(0))

@@ -170,8 +170,9 @@ class Ciphertext:
         if c.dtype == np.uint64:  # entries at or above 2^63 do not fit int64
             c = c % self.q
         self.c = c.astype(np.int64, copy=False) % self.q
-        if self.adds < 0 or self.mults < 0:
-            raise ValueError("operation counters must be nonnegative")
+        if not all(type(x) is int and x >= 0 for x in (self.adds, self.mults)):
+            raise ValueError(f"operation counters must be nonnegative ints, got "
+                             f"adds={self.adds!r} and mults={self.mults!r}")
 
     @classmethod
     def _reduced(cls, c: np.ndarray, q: int, adds: int = 0, mults: int = 0) -> "Ciphertext":
@@ -210,7 +211,7 @@ class SecretKey:
     """A key: its n points, the evaluation matrix G at them and the secret s.
     Construction derives everything else from the params once: the bases B_r
     and B_2r (None in additive mode), d_r, head_len and tail_len, enc_basis,
-    noise_spec, the scales sigma_s, eta and p by the noise rule, and the
+    noise_spec, the scales sigma_s, eta and p (by ``_scale_window``), and the
     decryption step delta = sigma_s * p. It raises KeyGenError("scale")
     naming s when sigma_s < 1, since no p fits."""
 
@@ -233,14 +234,14 @@ class SecretKey:
         self.enc_basis[:, : self.B_r.index.size] = self.B_r.data
         # noise lands on the tail only, the coordinates that s2 reads
         self.noise_spec = NoiseSpec(params.alpha_f, q, self.tail_len)
-        # the noise rule, written here only: sigma_s the balanced sum of s,
-        # eta = 2·|s2|·h/sqrt(eps) and p = floor(eta·alpha·q/sigma_s) + 1
+        # sigma_s, then p by the exact scale rule; s2_norm and eta are floats for reports
         self.sigma_s = balanced(int(self.s.sum() % q), q)
         if self.sigma_s < 1:
             raise KeyGenError("scale", f"s has balanced sum sigma_s={self.sigma_s}, below 1")
-        self.s2_norm = float(np.linalg.norm(balanced(self.s2, q)))
+        s2 = balanced(self.s2, q)
+        self.p = _scale_window(params, sum(x * x for x in s2.tolist()), self.sigma_s)[0]
+        self.s2_norm = float(np.linalg.norm(s2))
         self.eta = 2.0 * self.s2_norm * float(params.headroom) / math.sqrt(params.epsilon_f)
-        self.p = math.floor(self.eta * (params.alpha_f * q) / self.sigma_s) + 1
         self.delta = self.sigma_s * self.p  # <s, c> of a plaintext unit
         # s as n×2 16-bit limbs [s >> 16, s & 0xFFFF] when one int64 product
         # c @ s could overflow (n·(q−1)² >= 2^63), None when it cannot; the
@@ -265,23 +266,32 @@ class SecretKey:
         return self.s[self.head_len :]
 
 
+def _scale_window(params: SchemeParams, norm_sq: int = 1, sigma: int = 1) -> Tuple[int, int]:
+    """The scale rule and its window, in exact integers (alpha, eps and h are
+    exact ratios): the least integer above 2h·alpha·q·sqrt(norm_sq)/(sigma·sqrt(eps)),
+    isqrt(floor(4h²·alpha²·q²·norm_sq/(sigma²·eps))) + 1, and floor(floor(q/2)/h),
+    the largest sigma_s·p with h·sigma_s·p <= floor(q/2). A key's p is the
+    first at its |s2|² and sigma_s; feasibility's [lo, hi] is the pair at 1, 1."""
+    (a, b), (e, f) = params.alpha.as_integer_ratio(), params.epsilon.as_integer_ratio()
+    h, k = params.headroom.as_integer_ratio()
+    least = math.isqrt((2 * h * a * params.q) ** 2 * norm_sq * f // ((k * b * sigma) ** 2 * e))
+    return least + 1, params.q // 2 * k // h
+
+
 def feasibility(params: SchemeParams) -> Tuple[IdealBasis, IdealBasis, int, int]:
     """The basis B_r, the basis B of the slice the key annihilates (degree
     enc_degree(): B_r itself in additive mode) and the admissible range
     [lo, hi] of sigma_s*p; keygen and check-params both decide by it.
 
     Raises KeyGenError("dimension") unless dim(ideal slice) < n (validate
-    bounds n by N_enc), and ParameterInfeasibleError("scale") when even the
-    best case |s2| = 1 (that is, sigma_s*p > 2h*alpha*q/sqrt(eps)) leaves no
-    sigma_s*p <= floor(q/2)/h.
+    bounds n by N_enc), and ParameterInfeasibleError("scale") when lo, the
+    scale rule's best case |s2| = sigma_s = 1, exceeds hi, the window's upper end.
     """
-    q, n, h = params.q, params.n, float(params.headroom)
     B_r = ideal_truncated_basis(params.ideal, params.r)
     B = ideal_truncated_basis(params.ideal, params.enc_degree())
-    if B.rows >= n:
-        raise KeyGenError("dimension", f"need dim(ideal slice)={B.rows} < n={n}")
-    lo = math.floor(2.0 * h * params.alpha_f * q / math.sqrt(params.epsilon_f)) + 1
-    hi = math.floor((q // 2) / h)
+    if B.rows >= params.n:
+        raise KeyGenError("dimension", f"need dim(ideal slice)={B.rows} < n={params.n}")
+    lo, hi = _scale_window(params)
     if lo > hi:
         raise ParameterInfeasibleError(
             "scale", f"smallest admissible sigma_s*p={lo} exceeds floor(q/2)/h = {hi}")
@@ -317,11 +327,11 @@ def key_defect(params: SchemeParams, G: np.ndarray):
 def secret_defect(sk: SecretKey, V: np.ndarray) -> Optional[str]:
     """KeyGen's acceptance of a built key's secret, given V = B·Gᵀ from
     ``key_defect``: the first failing condition or None. ``scale``:
-    h·sigma_s·p <= floor(q/2), so that h plaintext units still land inside
-    the balanced range (sigma_s >= 1 holds by construction);
-    ``orthogonality``: V·s ≡ 0."""
+    h·sigma_s·p <= floor(q/2), the window ``feasibility`` reports as hi, so
+    that h plaintext units still land inside the balanced range (sigma_s >= 1
+    holds by construction); ``orthogonality``: V·s ≡ 0."""
     q = sk.params.q
-    if sk.delta * float(sk.params.headroom) > q // 2:
+    if sk.delta > _scale_window(sk.params)[1]:
         return "scale"
     if np.any(matmul_mod(V, sk.s, q)):
         return "orthogonality"

@@ -284,6 +284,21 @@ def test_check_params_accepts_exactly_when_keygen_feasible(tmp_path, capsys, mak
         assert "p_min" not in obj and "p_max" not in obj
 
 
+def test_check_params_reports_the_exact_least_scale_at_its_boundary(tmp_path, capsys):
+    # 2h·alpha·q/sqrt(eps) is exactly 51 at q = 17, h = 1, eps = 0.01 and
+    # alpha = 0.15, so the least admissible sigma_s*p is 52, as keygen's rule says
+    from mvphe import SchemeParams
+    from mvphe.presets import toy_ideal
+    from mvphe.scheme import MODE_ADDITIVE
+
+    path = tmp_path / "p.json"
+    save_params(path, SchemeParams(lam=32, q=17, ell=2, r=2, n=5, alpha="0.15", epsilon="0.01",
+                                   mode=MODE_ADDITIVE, ideal=toy_ideal(17), headroom=1))
+    assert main(["check-params", "--params", str(path), "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert "sigma_s*p=52" in err and out == ""
+
+
 def test_ragged_key_points_exit3(tmp_path, toy_paramfile, capsys):
     key = str(tmp_path / "key.json")
     main(["keygen", "--params", toy_paramfile, "--seed", "42", "--out", key])

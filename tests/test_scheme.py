@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mvphe import (
     DepthError,
     KeyGenError,
     MonomialIndex,
+    ParameterInfeasibleError,
     Polynomial,
     IdealSpec,
     RandomStream,
@@ -32,7 +35,7 @@ from mvphe import (
     noise_measure,
     poly_mul,
 )
-from mvphe.field import round_nearest
+from mvphe.field import balanced, round_nearest
 from mvphe.linalg import orthogonal_head_map, rank
 from mvphe.mvpoly import ideal_truncated_basis
 from mvphe.presets import TOY_Q, toy_additive_params, toy_ideal, toy_mult_params
@@ -157,6 +160,18 @@ def _small_prime_mult_params():
                         mode=MODE_MULT, ideal=toy_ideal(17), headroom=2)
 
 
+def _toy_mult_noiseless_params():
+    return toy_mult_params(alpha="0")
+
+
+def _small_prime_additive_params():
+    """The toy ideal at q = 17, additive, at h = 1 and eps = 0.3."""
+    return SchemeParams(lam=32, q=17, ell=2, r=2, n=5, alpha="0.01", epsilon="0.3",
+                        mode=MODE_ADDITIVE, ideal=toy_ideal(17), headroom=1)
+
+
+# seeds 0-399 of the last four: 1,600 keys whose digests were recorded under
+# the float scale rule, so the exact rule is held to build every one unchanged
 @pytest.mark.parametrize(
     "make_params, seeds, digest",
     [
@@ -164,8 +179,17 @@ def _small_prime_mult_params():
          "4935149a7ec644916cbacdc7373eb3e455e53808768be6e2b5441313c261bca9"),
         (_small_prime_mult_params, range(1, 101),
          "6ac7175ba6e49f6ff64f6c8a236d3cb37d5a5adbe3ef9392428b716adcaa8fd3"),
+        (toy_additive_params, range(400),
+         "9e11c789c6f2f66d3d44b421e949317387c40b982d327524f83d471d0b0bf252"),
+        (toy_mult_params, range(400),
+         "3a1e0c20d9e16a36e50eff2a011864a1d7b48a779a072cbe2b7927d19c3eebb9"),
+        (_toy_mult_noiseless_params, range(400),
+         "38d081fc336fd394004577a7b27de9df353ca2ad75f602811c9a4ad6865f9292"),
+        (_small_prime_additive_params, range(400),
+         "33d0f1d4a8495167546dd137548c912febf5c99c4b84b77245e0f72ffc9e7655"),
     ],
-    ids=["_scaled_q31_shaped_params", "_small_prime_mult_params"],
+    ids=["_scaled_q31_shaped_params", "_small_prime_mult_params", "toy_additive_params",
+         "toy_mult_params", "_toy_mult_noiseless_params", "_small_prime_additive_params"],
 )
 def test_keygen_golden_keys_across_seeds(make_params, seeds, digest):
     # sha256 over points, G, s, p and sigma_s of every key; a seed whose keygen
@@ -249,6 +273,69 @@ def test_encrypt_golden_ciphertexts_with_live_noise(make_params, digest):
 @pytest.fixture(scope="module")
 def q31_key():
     return keygen(_q31_mult_params(), RandomStream(42))
+
+
+def _scale_rule_holds(params, p, norm_sq, sigma):
+    """p is the least integer above 2h·alpha·q·sqrt(norm_sq)/(sigma·sqrt(eps)):
+    (p-1)²·sigma²·eps <= 4h²·alpha²·q²·norm_sq < p²·sigma²·eps, in Fractions."""
+    x = 4 * Fraction(params.headroom) ** 2 * Fraction(str(params.alpha)) ** 2 * params.q**2
+    y = Fraction(str(params.epsilon)) * sigma**2
+    return (p - 1) ** 2 * y <= x * norm_sq < p**2 * y
+
+
+def _sigma_p_min(params):
+    """check-params' sigma_p_min: feasibility's lo, or the value that its
+    ParameterInfeasibleError names."""
+    try:
+        return scheme.feasibility(params)[2]
+    except ParameterInfeasibleError as exc:
+        return int(re.search(r"sigma_s\*p=(\d+)", str(exc)).group(1))
+
+
+def test_feasibility_lo_is_the_exact_scale_rule_over_a_grid():
+    # 7,164 points, and at each a key with |s2| = sigma_s = 1 derives p = lo.
+    # The float formulas this replaced were off by one, lo at 17 points (such
+    # as q = 17, h = 1, eps = 0.01, alpha = 0.15, where 2hαq/√ε = 51) and p at 4
+    wrong = []
+    for q in (17, 101, 10007, 2**31 - 1):
+        base = SchemeParams(lam=32, q=q, ell=2, r=2, n=5, alpha="0", epsilon="0.01",
+                            mode=MODE_ADDITIVE, ideal=toy_ideal(q))
+        unit = dataclasses.replace(keygen(base, RandomStream(1)), s=np.eye(5, dtype=np.int64)[4])
+        for h, eps, j in itertools.product((1, 2, 3), ("0.01", "0.05", "0.3"), range(1, 200)):
+            params = dataclasses.replace(base, alpha=f"0.{j:03d}", epsilon=eps, headroom=h)
+            lo = _sigma_p_min(params)
+            if not _scale_rule_holds(params, lo, 1, 1):
+                wrong.append(("lo", q, h, eps, j))
+            if dataclasses.replace(unit, params=params).p != lo:
+                wrong.append(("p", q, h, eps, j))
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "key", ["toy_key", "mult_key", "toy_key_noiseless", "mult_key_noiseless", "q31_key"])
+def test_fixture_keys_derive_p_by_the_exact_scale_rule(key, request):
+    sk = request.getfixturevalue(key)
+    norm_sq = sum(balanced(x, sk.params.q) ** 2 for x in sk.s2.tolist())
+    assert _scale_rule_holds(sk.params, sk.p, norm_sq, sk.sigma_s)
+    assert sk.delta == sk.sigma_s * sk.p <= scheme.feasibility(sk.params)[3]
+
+
+def test_p_is_exact_when_the_tail_squares_pass_int64():
+    # a key may carry any s in [0, q): ten tail entries near ±q/2 at
+    # q = 2^31 - 1 give |s2|² >= 2^63, past an int64 sum of squares
+    q = 2**31 - 1
+    x1 = Polynomial.from_terms(MonomialIndex(4, 2), FieldContext(q), [(1, (1, 0, 0, 0))])
+    params = SchemeParams(lam=32, q=q, ell=4, r=2, n=15, alpha="0.0000000037252903",
+                          epsilon="0.01", mode=MODE_ADDITIVE, ideal=IdealSpec([x1]))
+    sk = keygen(params, RandomStream(5))
+    assert sk.tail_len == 10
+    s = sk.s.copy()
+    s[sk.head_len:] = [q // 2 - i if i % 2 else q - q // 2 + i for i in range(10)]
+    s[0] = (q // 3 - int(s[1:].sum())) % q  # sigma_s = q // 3
+    sk = dataclasses.replace(sk, s=s)
+    norm_sq = sum(balanced(x, q) ** 2 for x in s[sk.head_len:].tolist())
+    assert sk.sigma_s == q // 3 and norm_sq >= 2**63
+    assert _scale_rule_holds(params, sk.p, norm_sq, sk.sigma_s)
 
 
 def test_encrypt_batch_golden_bytes_at_q31(q31_key):
@@ -717,9 +804,12 @@ def test_ciphertext_constructor_enforces_its_contract():
     for q in (10007.0, True, 0, 1, -5, None, "10007", np.int64(Q)):
         with pytest.raises(ValueError, match=re.escape(f"q must be an int >= 2, got {q!r}")):
             Ciphertext([1, 2, 3, 4, 5], q)
+    # counters are judged as q is: a bool, a float or a numpy int once built a
+    # ciphertext that save_ciphertext wrote and load_ciphertext refused
     for counter in ("adds", "mults"):
-        with pytest.raises(ValueError, match="operation counters must be nonnegative"):
-            Ciphertext([1, 2], Q, **{counter: -1})
+        for bad in (-1, True, 1.5, 1.0, np.int64(1), None, "1"):
+            with pytest.raises(ValueError, match="operation counters must be nonnegative"):
+                Ciphertext([1, 2], Q, **{counter: bad})
 
 
 def test_hom_ops_compute_fresh_canonical_residues(batch_key):
